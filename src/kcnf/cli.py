@@ -100,6 +100,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.k < 1:
+        raise ValueError("k must be positive")
+    if args.budget < 0:
+        raise ValueError("budget must be nonnegative")
     formula = read_dimacs(_read_text(args.file))
     report = verify_instance(formula, args.k, s=args.max_occ,
                              run_solver=args.solve, budget=args.budget)

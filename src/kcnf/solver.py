@@ -1,17 +1,20 @@
-"""Satisfiability checking: a deterministic DPLL and brute-force enumeration.
+"""Satisfiability checking: a deterministic CDCL and brute-force enumeration.
 
 The solver exists to certify unsatisfiability of constructed formulas, not
-to compete on speed. Decisions follow a fixed order (most occurrences in
-unsatisfied clauses, then ascending variable id, True first) so runs are
-reproducible; a decision budget turns pathological inputs into TIMEOUT
-instead of a hang.
+to compete on speed. It learns first-UIP clauses and finds units and
+conflicts through two watched literals per clause. Decisions follow a
+pinned order (conflict activity, then open clauses, then ascending
+variable id, True first) and propagation takes units in a pinned order, so
+the search, its counters and any SAT witness are reproducible; a decision
+budget turns pathological inputs into TIMEOUT instead of a hang.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .formula import Assignment, Formula, occurrence_census
 
@@ -37,13 +40,25 @@ def solve(f: Formula, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Conflict-driven clause learning with a deterministic branch order.
 
     Decisions pick the unassigned variable with the highest conflict
-    activity, then the most unsatisfied clauses, then the smaller id,
-    always trying True first. Occurrence counts alone are not enough on
-    composed instances: every compose drags the finished parts of its
-    dead copies along as satisfiable side clauses, and a plain DPLL
-    wanders them for exponential stretches. First-UIP learning with
-    backjumping makes each conflict prune that wandering for good. The
-    witness for SAT is a total assignment over f.vars, with any
+    activity, then the most open clauses (clauses with no true literal),
+    then the smaller id, always trying True first; a variable with no open
+    clause is never a decision. Occurrence counts alone are not enough on
+    composed instances: every compose drags the finished parts of its dead
+    copies along as satisfiable side clauses, and a plain DPLL wanders them
+    for exponential stretches. First-UIP learning with backjumping makes
+    each conflict prune that wandering for good.
+
+    Each clause watches two of its literals (a unit clause watches its one
+    literal twice), so an assignment visits only the clauses watching the
+    literal it falsifies. New units are queued in ascending clause index
+    and a conflict reports the highest all-false clause index, which pins
+    the propagation order. Each variable counts its open clauses; a clause
+    closes when it gains its first true literal and reopens when backjumping
+    takes that literal back. Decisions come off a heap ordered by the
+    decision key and rebuilt after each backjump, so a decision costs a few
+    heap steps rather than a pass over every variable's clauses.
+
+    The witness for SAT is a total assignment over f.vars, with any
     unconstrained variable set True. budget caps the number of decisions;
     exceeding it yields TIMEOUT, never a wrong SAT/UNSAT answer.
     """
@@ -52,110 +67,152 @@ def solve(f: Formula, budget: int = DEFAULT_BUDGET) -> SolveResult:
     if frozenset() in f.clauses:
         return SolveResult(UNSAT, None, 0, 0)
 
+    # variable i is variables[i]; its literals are 2i (positive) and 2i + 1
     variables = sorted(f.vars)
-    clauses: List[List[int]] = [list(c) for c in f.clauses]
-    occ_pos: Dict[int, List[int]] = {v: [] for v in variables}
-    occ_neg: Dict[int, List[int]] = {v: [] for v in variables}
-    for ci, lits in enumerate(clauses):
-        for lit in lits:
-            (occ_pos if lit > 0 else occ_neg)[abs(lit)].append(ci)
-
-    unassigned = [len(lits) for lits in clauses]
-    true_count = [0] * len(clauses)
-    assign: Dict[int, bool] = {}
-    level: Dict[int, int] = {}
-    reason: Dict[int, Optional[int]] = {}
+    index = {v: i for i, v in enumerate(variables)}
+    n = len(variables)
+    clauses: List[List[int]] = []    # literals in formula order
+    watched: List[List[int]] = []    # the same, the two watches first
+    watches: List[List[int]] = [[] for _ in range(2 * n)]   # per literal
+    occ: List[List[int]] = [[] for _ in range(2 * n)]   # clauses per literal
+    # a clause is open until it gains a true literal; the var that closed it
+    # reopens it on backjump
+    closed: List[bool] = []
+    open_count = [0] * n    # open clauses holding each variable
+    closed_by: List[List[int]] = [[] for _ in range(n)]
+    value = [0] * (2 * n)   # per literal: 1 true, -1 false, 0 unassigned
+    level = [0] * n
+    reason: List[Optional[int]] = [None] * n
     trail: List[int] = []
     trail_lim: List[int] = []   # trail length at each decision
-    activity: Dict[int, float] = {v: 0.0 for v in variables}
+    activity = [0.0] * n
     act_inc = 1.0
     n_decisions = 0
     n_propagations = 0
+    # decision order: a heap of (-activity, -open count, var), rebuilt
+    # after each backjump
+    order: List[Tuple[float, int, int]] = []
+    order_stale = True
 
-    def set_var(v: int, val: bool, why: Optional[int]) -> Optional[int]:
-        """Assign and update counters; return a conflicting clause or None."""
-        assign[v] = val
+    def add_clause(lits: List[int], second: int = 1) -> int:
+        """Add a clause with no true literal; it watches lits[0] and lits[second]."""
+        ci = len(clauses)
+        clauses.append(lits)
+        watch = lits * 2 if len(lits) == 1 else lits[:]
+        watch[1], watch[second] = watch[second], watch[1]
+        watched.append(watch)
+        watches[watch[0]].append(ci)
+        if len(lits) > 1:
+            watches[watch[1]].append(ci)
+        closed.append(False)
+        for lit in lits:
+            occ[lit].append(ci)
+            open_count[lit >> 1] += 1
+        return ci
+
+    for c in f.clauses:
+        add_clause([2 * index[abs(lit)] + (lit < 0) for lit in c])
+
+    def set_var(lit: int, why: Optional[int],
+                queue: List[Tuple[int, Optional[int]]]) -> Optional[int]:
+        """Make lit true; queue the new units or return a conflicting clause."""
+        v = lit >> 1
+        false = lit ^ 1
+        value[lit] = 1
+        value[false] = -1
         level[v] = len(trail_lim)
         reason[v] = why
         trail.append(v)
-        conflict = None
-        for ci in occ_pos[v]:
-            unassigned[ci] -= 1
-            if val:
-                true_count[ci] += 1
-            elif true_count[ci] == 0 and unassigned[ci] == 0:
-                conflict = ci
-        for ci in occ_neg[v]:
-            unassigned[ci] -= 1
-            if not val:
-                true_count[ci] += 1
-            elif true_count[ci] == 0 and unassigned[ci] == 0:
-                conflict = ci
-        return conflict
+        newly = closed_by[v] = []
+        for ci in occ[lit]:
+            if not closed[ci]:
+                closed[ci] = True
+                newly.append(ci)
+                for other in clauses[ci]:
+                    open_count[other >> 1] -= 1
+        units: List[int] = []
+        conflict = -1
+        kept: List[int] = []
+        for ci in watches[false]:
+            w = watched[ci]
+            if w[0] == false:
+                w[0] = w[1]
+                w[1] = false
+            other = w[0]
+            if value[other] > 0:
+                kept.append(ci)
+                continue
+            for j in range(2, len(w)):
+                cand = w[j]
+                if value[cand] >= 0:
+                    w[1] = cand
+                    w[j] = false
+                    watches[cand].append(ci)
+                    break
+            else:
+                kept.append(ci)
+                if value[other] == 0:
+                    units.append(ci)
+                elif ci > conflict:
+                    conflict = ci
+        watches[false] = kept
+        if conflict >= 0:
+            return conflict
+        units.sort()
+        for ci in units:
+            queue.append((watched[ci][0], ci))
+        return None
 
     def backjump(to_level: int) -> None:
+        nonlocal order_stale
+        order_stale = True   # freed variables and reopened clauses raise keys
         mark = trail_lim[to_level]
         del trail_lim[to_level:]
         while len(trail) > mark:
             v = trail.pop()
-            val = assign.pop(v)
-            del level[v], reason[v]
-            for ci in occ_pos[v]:
-                unassigned[ci] += 1
-                if val:
-                    true_count[ci] -= 1
-            for ci in occ_neg[v]:
-                unassigned[ci] += 1
-                if not val:
-                    true_count[ci] -= 1
+            value[2 * v] = value[2 * v + 1] = 0
+            for ci in closed_by[v]:
+                closed[ci] = False
+                for lit in clauses[ci]:
+                    open_count[lit >> 1] += 1
 
-    def propagate(v: int, val: bool, why: Optional[int]) -> Optional[int]:
-        """Assign v=val, run unit propagation; return a conflict clause id."""
+    def propagate(lit: int, why: Optional[int]) -> Optional[int]:
+        """Make lit true, run unit propagation; return a conflict clause id."""
         nonlocal n_propagations
-        queue = [(v, val, why)]
+        queue = [(lit, why)]
         while queue:
-            var, value, why_ci = queue.pop()
-            # a queued unit is stale once its clause picked up a true literal
-            if why_ci is not None and true_count[why_ci] > 0:
-                continue
-            if var in assign:
-                if assign[var] != value:
+            lit, why_ci = queue.pop()
+            if value[lit]:
+                if value[lit] < 0:
                     return why_ci   # why_ci is now falsified in full
                 continue
             if why_ci is not None:
                 n_propagations += 1
-            conflict = set_var(var, value, why_ci)
+            conflict = set_var(lit, why_ci, queue)
             if conflict is not None:
                 return conflict
-            # scan clauses touched by the falsified literal for new units
-            for ci in (occ_neg[var] if value else occ_pos[var]):
-                if true_count[ci] == 0 and unassigned[ci] == 1:
-                    for lit in clauses[ci]:
-                        if abs(lit) not in assign:
-                            queue.append((abs(lit), lit > 0, ci))
-                            break
         return None
 
     def bump(v: int) -> None:
         nonlocal act_inc
         activity[v] += act_inc
         if activity[v] > 1e100:
-            for u in variables:
+            for u in range(n):
                 activity[u] *= 1e-100
             act_inc *= 1e-100
 
-    def analyze(conflict_ci: int) -> Tuple[List[int], int, int, bool]:
-        """First-UIP cut: learned clause, backjump level, asserted var/value."""
+    def analyze(conflict_ci: int) -> Tuple[List[int], int]:
+        """First-UIP cut: learned clause, asserting literal first; backjump level."""
         cur = len(trail_lim)
         seen: Set[int] = set()
         lower: List[int] = []   # learned literals from levels below cur
         pending = 0             # current-level vars still to resolve away
         lits = clauses[conflict_ci]
-        skip = 0                # var resolved on, excluded from its reason
+        skip = -1               # var resolved on, excluded from its reason
         idx = len(trail) - 1
         while True:
             for lit in lits:
-                v = abs(lit)
+                v = lit >> 1
                 if v == skip or v in seen or level[v] == 0:
                     continue
                 seen.add(v)
@@ -173,41 +230,32 @@ def solve(f: Formula, budget: int = DEFAULT_BUDGET) -> SolveResult:
                 break
             lits = clauses[reason[uip]]
             skip = uip
-        val = assign[uip]
-        learned = [-uip if val else uip] + lower
-        back = max((level[abs(lit)] for lit in lower), default=0)
-        return learned, back, uip, not val
-
-    def add_clause(lits: List[int]) -> int:
-        ci = len(clauses)
-        clauses.append(lits)
-        n_true = 0
-        n_open = 0
-        for lit in lits:
-            v = abs(lit)
-            (occ_pos if lit > 0 else occ_neg)[v].append(ci)
-            if v not in assign:
-                n_open += 1
-            elif assign[v] == (lit > 0):
-                n_true += 1
-        unassigned.append(n_open)
-        true_count.append(n_true)
-        return ci
+        asserting = 2 * uip + (value[2 * uip] > 0)
+        back = max((level[lit >> 1] for lit in lower), default=0)
+        return [asserting] + lower, back
 
     def next_decision() -> Optional[int]:
-        best = None
-        best_key = (-1.0, 0)
-        for v in variables:
-            if v in assign:
-                continue
-            count = sum(1 for ci in occ_pos[v] if true_count[ci] == 0)
-            count += sum(1 for ci in occ_neg[v] if true_count[ci] == 0)
-            if count == 0:
-                continue   # all its clauses satisfied; branching repeats work
-            key = (activity[v], count)
-            if best is None or key > best_key:
-                best, best_key = v, key
-        return best
+        """The free variable with an open clause that leads the order."""
+        nonlocal order, order_stale
+        if order_stale:
+            order = [(-activity[v], -open_count[v], v) for v in range(n)
+                     if open_count[v] and not value[2 * v]]
+            heapq.heapify(order)
+            order_stale = False
+        # Between backjumps keys only fall: assignments close clauses and
+        # activity changes only in conflict analysis. So each entry ranks
+        # its variable no lower than its true key, and the top is exact
+        # once its count is current.
+        while order:
+            neg_act, neg_count, v = order[0]
+            count = open_count[v]
+            if not count or value[2 * v]:
+                heapq.heappop(order)
+            elif count != -neg_count:
+                heapq.heapreplace(order, (neg_act, -count, v))
+            else:
+                return v
+        return None
 
     def resolve_conflict(conflict: Optional[int]) -> bool:
         """Learn and backjump until propagation settles; False means UNSAT."""
@@ -215,16 +263,18 @@ def solve(f: Formula, budget: int = DEFAULT_BUDGET) -> SolveResult:
         while conflict is not None:
             if not trail_lim:
                 return False
-            learned, back, var, val = analyze(conflict)
+            learned, back = analyze(conflict)
             backjump(back)
             act_inc /= 0.95
-            conflict = propagate(var, val, add_clause(learned))
+            deepest = max(range(1, len(learned)),
+                          key=lambda j: level[learned[j] >> 1], default=0)
+            conflict = propagate(learned[0], add_clause(learned, deepest))
         return True
 
     # top-level units before any decision
     for ci, lits in enumerate(clauses):
-        if len(lits) == 1 and abs(lits[0]) not in assign:
-            if propagate(abs(lits[0]), lits[0] > 0, ci) is not None:
+        if len(lits) == 1 and not value[lits[0]]:
+            if propagate(lits[0], ci) is not None:
                 return SolveResult(UNSAT, None, 0, n_propagations)
 
     while True:
@@ -232,13 +282,13 @@ def solve(f: Formula, budget: int = DEFAULT_BUDGET) -> SolveResult:
         if v is None:
             # every clause satisfied; conflicts fire during propagation, so
             # no unsatisfied clause can be fully assigned here
-            witness = {u: assign.get(u, True) for u in variables}
+            witness = {u: value[2 * i] >= 0 for i, u in enumerate(variables)}
             return SolveResult(SAT, witness, n_decisions, n_propagations)
         if n_decisions >= budget:
             return SolveResult(TIMEOUT, None, n_decisions, n_propagations)
         n_decisions += 1
         trail_lim.append(len(trail))
-        if not resolve_conflict(propagate(v, True, None)):
+        if not resolve_conflict(propagate(2 * v, None)):
             return SolveResult(UNSAT, None, n_decisions, n_propagations)
 
 

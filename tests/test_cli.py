@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +118,21 @@ class TestVerify:
         code, _, err = invoke(capsys, "verify", str(path), "--k", "3")
         assert code == 2
         assert "error:" in err
+
+    def test_negative_budget_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "k2.cnf"
+        path.write_text(write_dimacs(complete_formula([1, 2])))
+        code, text, err = invoke(capsys, "verify", str(path), "--k", "2",
+                                 "--solve", "--budget", "-5")
+        assert (code, text) == (2, "")
+        assert "error:" in err and "budget" in err
+
+    def test_nonpositive_k_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "k2.cnf"
+        path.write_text(write_dimacs(complete_formula([1, 2])))
+        code, text, err = invoke(capsys, "verify", str(path), "--k", "0")
+        assert (code, text) == (2, "")
+        assert "error:" in err and "k must be positive" in err
 
 
 class TestF2:
@@ -255,6 +272,13 @@ class TestPlumbing:
             pairs.append((cnf.read_bytes(), trace.read_bytes(),
                           csv.read_bytes()))
         assert pairs[0] == pairs[1]
+
+    def test_module_entry_in_uninstalled_checkout(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-m", "kcnf", "f2", "--k", "5"],
+                              capture_output=True, cwd=tmp_path, env=env)
+        assert (proc.returncode, proc.stdout) == (0, b"14\n")
 
     def test_console_script_entry(self):
         proc = subprocess.run([sys.executable, "-m", "kcnf.cli"],

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from kcnf.constructions import lemma1_build, lemma2_build
+from kcnf.dp import f2_value, feasible, materialize
 from kcnf.formula import Formula, almost_complete_formula, complete_formula
 from kcnf.solver import (
     SAT,
@@ -72,13 +74,16 @@ def test_deterministic_reruns():
 
 
 def test_agreement_with_enumeration_random_3cnf():
+    # mixed widths 1-4; every fifth formula is units only, so single-literal
+    # watches and learned unit clauses are exercised too
     rng = random.Random(987123)
-    for trial in range(60):
-        n = rng.randint(3, 8)
-        m = rng.randint(2, 4 * n)
+    for trial in range(200):
+        n = rng.randint(1, 8)
+        m = rng.randint(1, 4 * n)
+        widest = 1 if trial % 5 == 0 else min(4, n)
         clauses = []
         for _ in range(m):
-            vs = rng.sample(range(1, n + 1), 3)
+            vs = rng.sample(range(1, n + 1), rng.randint(1, widest))
             clauses.append([v if rng.random() < 0.5 else -v for v in vs])
         f = Formula(clauses)
         models = enumerate_models(f, range(1, n + 1))
@@ -91,6 +96,44 @@ def test_agreement_with_enumeration_random_3cnf():
             assert satisfies(f, lifted)
         else:
             assert res.status == UNSAT, f"trial {trial}"
+
+
+def _witness(k):
+    s = f2_value(k) + 1
+    return materialize(feasible(k, s), k, s)
+
+
+def _witness5_minus_first_clause():
+    w5 = _witness(5)
+    return Formula(w5.clauses - {w5.canonical_clauses()[0]})
+
+
+# (status, decisions, propagations) of the unrelabelled inputs; a change to
+# the solver's data structures must leave the search itself alone
+PINNED_SEARCH = [
+    ("witness k=2 s=3", lambda: _witness(2), UNSAT, 1, 7),
+    ("witness k=3 s=5", lambda: _witness(3), UNSAT, 16, 26),
+    ("witness k=4 s=9", lambda: _witness(4), UNSAT, 70, 87),
+    ("witness k=5 s=15", lambda: _witness(5), UNSAT, 898, 292),
+    ("witness k=6 s=27", lambda: _witness(6), UNSAT, 20403, 1558),
+    ("lemma1 k=11 l=3", lambda: lemma1_build(11, 3)[0], UNSAT, 1105, 2463),
+    ("lemma2 k=9 l=1", lambda: lemma2_build(9, 1)[-1][0], UNSAT, 1179, 2312),
+    ("witness k=5 minus a clause", _witness5_minus_first_clause, SAT, 323, 113),
+]
+
+
+@pytest.mark.parametrize("build, status, decisions, propagations",
+                         [case[1:] for case in PINNED_SEARCH],
+                         ids=[case[0] for case in PINNED_SEARCH])
+def test_pinned_search(build, status, decisions, propagations):
+    f = build()
+    res = solve(f)
+    assert (res.status, res.decisions, res.propagations) == (
+        status, decisions, propagations)
+    if status == SAT:
+        false_vars = {1, 2, 3, 4, 5, 67}
+        assert res.witness == {v: v not in false_vars for v in range(1, 135)}
+        assert satisfies(f, res.witness)
 
 
 def test_enumerate_models_cap():
