@@ -27,7 +27,7 @@ FINAL line naming the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from .formula import (
     Formula,

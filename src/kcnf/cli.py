@@ -127,6 +127,8 @@ def _cmd_f2(args: argparse.Namespace) -> int:
 def _cmd_f2_table(args: argparse.Namespace) -> int:
     if not 1 <= args.k_from <= args.k_to:
         raise ValueError("need 1 <= k-from <= k-to")
+    if args.jobs < 1:
+        raise ValueError("jobs must be positive")
     rows = f2_table(args.k_from, args.k_to, jobs=args.jobs)
     if args.out == "-":
         sys.stdout.write(F2_CSV_HEADER + "\n")

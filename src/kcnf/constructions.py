@@ -33,11 +33,6 @@ from .formula import (
 
 LOG2E = math.log2(math.e)
 
-# Exponent in the best known upper bound O(2^k / k^alpha), alpha = log_3(4) - 1.
-# Kept symbolic (a constant to report); nothing here evaluates the bound.
-SAVICKY_EXPONENT_NUM_LOG = (math.log(4), math.log(3))
-SAVICKY_EXPONENT = math.log(4) / math.log(3) - 1
-
 DEFAULT_CLAUSE_CAP = 2 ** 22
 
 REL_TIE = 1e-9
@@ -341,8 +336,13 @@ def bounds_row(k: int) -> BoundsRow:
         lemma2_l=l2,
         line_a=1.0 / math.e,
         line_b=8.0 * math.log(k),
-        line_d=0.5 * math.log2(k) + 0.23,
+        line_d=guide_line_d(k),
     )
+
+
+def guide_line_d(k: int) -> float:
+    """Guide line d: the paper's shape f2(k) k / 2^k ~ 0.5 log2 k + 0.23."""
+    return 0.5 * math.log2(k) + 0.23
 
 
 def sig6(x: float) -> str:

@@ -9,7 +9,7 @@ f already uses contiguous 1..n variables.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from .formula import Clause, Formula, clause_sort_key
 

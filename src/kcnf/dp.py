@@ -23,7 +23,13 @@ operand's size, so one check is a least fixpoint over the k widths: O(k^2)
 a pass, a few passes. An infeasible check yields the least cost of a step
 it rejected, a lower bound on T(k); a feasible one yields the requirement
 of the derivation it found, an upper bound. The bracket closes on T(k)
-after a few checks, two or three when f2_table guesses from f2(k - 1).
+after a few checks. The first probe comes from the paper's shape, T(k) ~
+(0.5 log2 k + 0.23) 2^k / k (guide line d), unless the caller has a better
+guess: f2_table guesses from f2(k - 1), feasible from its cap s. Guessed,
+the search takes two or three checks. From the guide line it mostly takes
+two or three where the line lies below T(k), and up to nine where it lies
+above (restricted k in 80..85, 180..234 and past 430), since the bracket
+then bisects up from 1.
 
 feasible builds its witness traces from the frontier fixpoint, which finds
 T(k) in one uniform-cost expansion of the pieces instead. Per width only
@@ -34,7 +40,11 @@ at equal cost, and for a finish the wider piece needs one extra d=1 hop
 whose cost (2^(k-w) - 2) m is below the narrow finish's (2^(k-w) - 1) m +
 m2. The frontier therefore maintains one global dominance frontier. Its
 witnesses are what the traces have always been, so it stays for them, and
-as the cross-check of the search. In literal mode it can miss T(k) (see
+as the cross-check of the search. feasible runs the search first and hands
+T(k) to the frontier as a bound, so the frontier pushes no candidate past
+T(k)'s heap key class. The bound sits at the edge of that class, not at
+T(k) + 1, which keeps the expansion, and so the trace, what it is without
+a bound. In literal mode the frontier can miss T(k) (see
 _frontier_threshold); feasible then falls back to the search's derivation.
 
 The fixed-cap closure itself survives as oracle_f2: an exhaustive BFS over
@@ -49,10 +59,9 @@ import heapq
 import math
 from dataclasses import dataclass
 from decimal import Context, Decimal
-from typing import Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from .calculus import (
-    CalculusError,
     DerivTrace,
     OP_AXIOM,
     OP_COMPOSE,
@@ -60,15 +69,12 @@ from .calculus import (
     TraceAnnotation,
     TraceNode,
     annotate_trace,
-    as_derived,
     axiom,
     compose,
     split,
 )
-from .constructions import sig6
+from .constructions import DEFAULT_CLAUSE_CAP, guide_line_d, sig6
 from .formula import Formula, VarAllocator, occurrence_census
-
-DEFAULT_CLAUSE_CAP = 2 ** 22
 
 
 class MaterializeError(ValueError):
@@ -98,7 +104,8 @@ class _Threshold:
     finish: Tuple                   # ("chain",) | ("pair", a, b) | ("split", a)
 
 
-def _frontier_threshold(k: int, literal: bool = False) -> _Threshold:
+def _frontier_threshold(k: int, literal: bool = False,
+                        bound: Optional[int] = None) -> Optional[_Threshold]:
     """Uniform-cost expansion of the piece space; returns T(k) exactly.
 
     A composite's requirement is at least either operand's, so expanding
@@ -120,6 +127,16 @@ def _frontier_threshold(k: int, literal: bool = False) -> _Threshold:
     witnesses from k = 105 on, so the keys stay and feasible checks the
     witness against the search instead.
 
+    Given bound = T(k) from the search, best starts at the first integer
+    whose key is above key(T(k)), not at the split chain's 2^k, so no
+    candidate past T(k)'s key class is pushed. Such a candidate can
+    neither settle before the unbounded run's finish at T(k) nor displace
+    or suppress one below the edge, so the bounded run takes the same
+    steps below the edge and returns the same witness. The edge is not
+    T(k) + 1: inside a key tie the unbounded run settles pieces up to the
+    end of T(k)'s class before it finds its finish, and those can shape
+    the witness. Returns None when no finish registers under the bound.
+
     Entry payloads live in a list indexed by seq, which doubles as the
     liveness test: a staircase displacement blanks the slot, and the stale
     heap int is skipped on pop or swept out wholesale when dead entries
@@ -136,13 +153,18 @@ def _frontier_threshold(k: int, literal: bool = False) -> _Threshold:
     pow2 = [1 << i for i in range(k + 1)]
     factor = [p - 1 for p in pow2]
     best = pow2[k]                      # the pure split chain
-    best_how: Tuple = ("chain",)
-    best_bits = k + 1
+    best_how: Optional[Tuple] = ("chain",)
 
     def keyf(x: int) -> int:
         bl = x.bit_length()
         return (bl << 53) | (x >> (bl - 53) if bl > 53 else x << (53 - bl))
 
+    if bound is not None:
+        sh = max(0, bound.bit_length() - 53)
+        edge = ((bound >> sh) + 1) << sh
+        if edge < best:
+            best, best_how = edge, None
+    best_bits = best.bit_length()
     best_key = keyf(best - 1)
     heap: List[int] = []
     live: List[Optional[Tuple[int, int, int]]] = []  # seq -> (width, size, req)
@@ -324,7 +346,7 @@ def _frontier_threshold(k: int, literal: bool = False) -> _Threshold:
                 mt = min_size[width + 1]
                 if mt is None or 2 * size < mt:
                     push(width + 1, 2 * size, r, ("split", piece))
-    return _Threshold(best, best_how)
+    return None if best_how is None else _Threshold(best, best_how)
 
 
 def _capped_fixpoint(k: int, s: int, size: List[int], req: List[int],
@@ -450,7 +472,7 @@ def _threshold_search(k: int, literal: bool = False,
         raise ValueError("k must be positive")
     lo, hi = 1, 1 << k
     base = _start(k)
-    probe = None if guess is None else guess - (guess >> 6)
+    probe = _guide_probe(k) if guess is None else guess - (guess >> 6)
     while lo < hi:
         if probe is None or not lo <= probe < hi:
             probe = (lo + hi) // 2
@@ -462,6 +484,11 @@ def _threshold_search(k: int, literal: bool = False,
             lo = probe = bound
             base = size, req
     return lo
+
+
+def _guide_probe(k: int) -> int:
+    """A first cap from the paper's shape, T(k) ~ guide_line_d(k) 2^k / k."""
+    return (round(guide_line_d(k) * (1 << 32)) << k) // (k << 32)
 
 
 def _search_witness(k: int, t: int, literal: bool) -> _Threshold:
@@ -476,8 +503,8 @@ def f2_value(k: int, literal: bool = False) -> int:
     """Largest cap s at which the calculus cannot finish at width k.
 
     Found by the bracketed search over fixed-cap checks, without the
-    frontier fixpoint; feasible still takes its witness traces from the
-    frontier.
+    frontier fixpoint, starting from guide line d's (0.5 log2 k + 0.23)
+    2^k / k; feasible still takes its witness traces from the frontier.
     """
     return _threshold_search(k, literal) - 1
 
@@ -494,6 +521,8 @@ def feasible(k: int, s: int, literal: bool = False) -> Optional[DerivTrace]:
     f2(k) + 1), except that a generous s >= 2^k short-circuits to the
     plain split chain. The witness is the frontier fixpoint's whenever
     it annotates to the threshold the search finds, else the search's own.
+    The search is guessed from s and finds T(k) in two checks at s =
+    T(k); the frontier is then bounded by T(k) (see _frontier_threshold).
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -501,14 +530,16 @@ def feasible(k: int, s: int, literal: bool = False) -> Optional[DerivTrace]:
         raise ValueError("s must be positive")
     if s >= 2 ** k:
         return _chain_trace(k)
-    t = _threshold_search(k, literal)
+    t = _threshold_search(k, literal, guess=s)
     if s < t:
         return None
-    trace = _trace_from_threshold(_frontier_threshold(k, literal), k)
-    mode = "literal" if literal else "restricted"
-    if annotate_trace(trace, k, mode=mode).required_s != t:
-        trace = _trace_from_threshold(_search_witness(k, t, literal), k)
-    return trace
+    th = _frontier_threshold(k, literal, bound=t)
+    if th is not None:
+        trace = _trace_from_threshold(th, k)
+        mode = "literal" if literal else "restricted"
+        if annotate_trace(trace, k, mode=mode).required_s == t:
+            return trace
+    return _trace_from_threshold(_search_witness(k, t, literal), k)
 
 
 def _chain_trace(k: int) -> DerivTrace:
@@ -714,7 +745,7 @@ def _f2_row(k: int, f2: int) -> F2Row:
         f2_norm=f2_norm_string(f2, k),
         line_a=1.0 / math.e,
         line_b=8.0 * math.log(k),
-        line_d=0.5 * math.log2(k) + 0.23,
+        line_d=guide_line_d(k),
     )
 
 

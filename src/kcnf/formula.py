@@ -92,9 +92,6 @@ class Formula:
         return all(len(c) == k for c in self.clauses)
 
 
-EMPTY_FORMULA = Formula([])
-
-
 def complete_formula(variables: Iterable[int]) -> Formula:
     """K(x1..xn): all 2^n clauses over the given variables.
 

@@ -239,6 +239,16 @@ class TestTables:
                             "lemma2_s,lemma2_l,line_a,line_b,line_d")
         assert lines[1] == bounds_csv_row(bounds_row(3))
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_nonpositive_jobs_is_usage_error(self, capsys, tmp_path, jobs):
+        out = tmp_path / "f2.csv"
+        code, text, err = invoke(capsys, "f2-table", "--k-from", "1",
+                                 "--k-to", "4", "--out", str(out),
+                                 "--jobs", jobs)
+        assert (code, text) == (2, "")
+        assert "error: jobs must be positive" in err
+        assert not out.exists()
+
     def test_bad_range_is_usage_error(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "f2-table", "--k-from", "5",
                               "--k-to", "4", "--out", str(tmp_path / "x.csv"))

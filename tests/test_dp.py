@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,10 +14,13 @@ from kcnf.calculus import (
     parse_trace,
     serialize_trace,
 )
+import kcnf.dp
+from kcnf.cli import run
 from kcnf.dp import (
     DEFAULT_CLAUSE_CAP,
     _frontier_threshold,
     _threshold_search,
+    _trace_from_threshold,
     F2_CSV_HEADER,
     MaterializeError,
     f2_csv_row,
@@ -40,6 +45,35 @@ F2_RESTRICTED = {
     28: 28824004, 32: 394115624,
 }
 F2_LITERAL = {1: 1, 2: 2, 3: 4, 4: 6, 5: 12, 6: 20, 12: 734, 16: 9606}
+F2_128 = 10547015236413970699201107676743671056
+F2_256 = int("19564847516806045430379739490280449663"
+             "36542570295493468906814486630052008478")
+
+# sha256 of serialize_trace(feasible(k, f2 + 1)), recorded before feasible
+# bounded the frontier by the search's threshold
+WITNESS_SHA256 = {
+    (100, False):
+        "84a65e488a1f5b45fba97a7df0c966d9f89db9b89db140f9ef02036b9fba9748",
+    (128, False):
+        "0f187ec3845f9d79d30fb4c0fe646e94764719a0ea551de8b0afd99ff923bce4",
+    (63, True):
+        "205c94dd6d2502c07fb328efde41a45e069477ccfb0b1151370965f96688f9ba",
+    (70, True):
+        "c1f2bd0e59ea65d5bb35b4c988f3c60fef30c30174aa7caa4cff015dab33cedb",
+}
+
+
+def _frontier_witness(k, literal, t, bound=None):
+    """The frontier's serialized witness, or None where feasible would
+    fall back to the search's derivation."""
+    th = _frontier_threshold(k, literal, bound=bound)
+    if th is None:
+        return None
+    trace = _trace_from_threshold(th, k)
+    mode = "literal" if literal else "restricted"
+    if annotate_trace(trace, k, mode=mode).required_s != t:
+        return None
+    return serialize_trace(trace)
 
 
 class TestF2Value:
@@ -83,6 +117,28 @@ class TestF2Value:
             t = f2_value(k) + 1
             for guess in (1, t // 3, t - 1, t, t + 1, 2 * t, 2 ** k):
                 assert _threshold_search(k, guess=guess) == t, (k, guess)
+
+    @pytest.mark.parametrize("k", [128, 256])
+    def test_unguided_search_starts_near_the_threshold(self, k, monkeypatch):
+        # the first probe comes from guide line d, (0.5 log2 k + 0.23)
+        # 2^k / k; a midpoint start took 9 and 11 checks here
+        checks = []
+        capped = kcnf.dp._capped_fixpoint
+
+        def counted(*args):
+            checks.append(args[1])
+            return capped(*args)
+
+        monkeypatch.setattr(kcnf.dp, "_capped_fixpoint", counted)
+        assert _threshold_search(k) == {128: F2_128, 256: F2_256}[k] + 1
+        assert len(checks) <= 4, checks
+
+    def test_cli_rejects_nonpositive_k_before_the_guide_line(self, capsys):
+        # log2 k is taken only after k is validated
+        assert run(["f2", "--k", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: k must be positive" in captured.err
 
 
 class TestFeasible:
@@ -132,6 +188,29 @@ class TestFeasible:
             assert ann.required_s == f2 + 1
             assert ann.nodes[tr.final].width == k
             assert feasible(k, f2, literal=True) is None
+
+    def test_bounded_frontier_keeps_the_witness(self):
+        # feasible bounds the frontier at the edge of T(k)'s 53-bit key
+        # class; literal k = 60..72 crosses 53 bits and includes the k
+        # where both runs fall back to the search's derivation
+        fallbacks = []
+        cases = [(k, False) for k in range(1, 65)]
+        cases += [(k, True) for k in range(60, 73)]
+        for k, literal in cases:
+            t = f2_value(k, literal) + 1
+            unbounded = _frontier_witness(k, literal, t)
+            assert _frontier_witness(k, literal, t, bound=t) == unbounded, \
+                (k, literal)
+            if unbounded is None:
+                fallbacks.append((k, literal))
+        assert (63, True) in fallbacks and (70, True) in fallbacks
+
+    @pytest.mark.parametrize("k,literal", sorted(WITNESS_SHA256))
+    def test_witness_bytes_pinned(self, k, literal):
+        f2 = f2_value(k, literal)
+        text = serialize_trace(feasible(k, f2 + 1, literal=literal))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == WITNESS_SHA256[k, literal]
 
     def test_literal_witness_can_need_free_splits(self):
         # below the restricted threshold the witness must split something
