@@ -34,7 +34,6 @@ from .formula import (
     VarAllocator,
     almost_complete_formula,
     fresh_copy,
-    occurrence_census,
     product,
     width_partition,
 )
@@ -175,37 +174,6 @@ def compose(df1: DerivedFormula, df2: DerivedFormula, s: int,
     parts.append(product(df2.incomplete, Formula([list(block)])))
     parts.append(df2.complete)
     result = Formula(c for part in parts for c in part.clauses)
-    return as_derived(result, k)
-
-
-def compose_compact(df1: DerivedFormula, df2: DerivedFormula, s: int,
-                    alloc: Optional[VarAllocator] = None) -> DerivedFormula:
-    """Compose without duplicating df1: F1' x K^-(X) u F1'' u F2' x {{X}} u F2''.
-
-    Same clause counts and fresh-block occurrences as compose, far fewer
-    variables, but df1's own variables multiply: a variable occurring a
-    times in F1' and b in F1'' ends up with (2^d - 1)a + b occurrences.
-    That is checked after the fact by a census; exceeding s raises.
-    """
-    df1, df2 = _check_compose_operands(df1, df2)
-    k = df1.k
-    need = compose_requirement(k, df1.width, df2.width, df1.size, df2.size)
-    if need > s:
-        raise CalculusError(f"compose needs s >= {need}, have s = {s}")
-    alloc = _ensure_alloc(alloc, df1.formula, df2.formula)
-    block = alloc.fresh_block(k - df2.width)
-    parts = [
-        product(df1.incomplete, almost_complete_formula(block)),
-        df1.complete,
-        product(df2.incomplete, Formula([list(block)])),
-        df2.complete,
-    ]
-    result = Formula(c for part in parts for c in part.clauses)
-    census = occurrence_census(result, k)
-    if census.max_occurrence > s:
-        raise CalculusError(
-            f"compact compose drives an operand variable to "
-            f"{census.max_occurrence} occurrences, cap is {s}")
     return as_derived(result, k)
 
 

@@ -311,13 +311,10 @@ class BoundsRow:
     lemma1_l: int
     lemma2_s: int
     lemma2_l: int
-    line_a: float      # 1/e
-    line_b: float      # 8 ln k
-    line_d: float      # 0.5 log2 k + 0.23
 
 
 def bounds_row(k: int) -> BoundsRow:
-    """Best occurrence bounds both constructions give at this k, plus guides."""
+    """Best occurrence bounds both constructions give at this k."""
     if k < 1:
         raise ValueError("k must be positive")
     best_s: Optional[int] = None
@@ -334,9 +331,6 @@ def bounds_row(k: int) -> BoundsRow:
         lemma1_l=best_l,
         lemma2_s=lemma2_occurrence_bound(k, l2),
         lemma2_l=l2,
-        line_a=1.0 / math.e,
-        line_b=8.0 * math.log(k),
-        line_d=guide_line_d(k),
     )
 
 
@@ -350,6 +344,11 @@ def sig6(x: float) -> str:
     return f"{x:.6g}"
 
 
+def guide_columns(k: int) -> List[str]:
+    """The guide-line CSV columns at k: line_a 1/e, line_b 8 ln k, line_d."""
+    return [sig6(1.0 / math.e), sig6(8.0 * math.log(k)), sig6(guide_line_d(k))]
+
+
 BOUNDS_CSV_HEADER = "k,lll_lower,lemma1_s,lemma1_l,lemma2_s,lemma2_l,line_a,line_b,line_d"
 
 
@@ -361,7 +360,5 @@ def bounds_csv_row(row: BoundsRow) -> str:
         str(row.lemma1_l),
         str(row.lemma2_s),
         str(row.lemma2_l),
-        sig6(row.line_a),
-        sig6(row.line_b),
-        sig6(row.line_d),
+        *guide_columns(row.k),
     ])

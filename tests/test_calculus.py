@@ -14,7 +14,6 @@ from kcnf.calculus import (
     as_derived,
     axiom,
     compose,
-    compose_compact,
     compose_requirement,
     parse_trace,
     serialize_trace,
@@ -159,28 +158,17 @@ class TestCompose:
         with pytest.raises(CalculusError):
             compose(done, done, 100)
 
-
-class TestComposeCompact:
-    def test_matches_compose_counts(self):
-        # width-1 operands at k=3 give d=2, where the copying actually differs
-        def operands(alloc):
-            left = split(axiom(3), 100, alloc=alloc)
-            right = as_derived(fresh_copy(left.formula, alloc), 3)
-            return left, right
-
+    def test_width_one_operands(self):
+        # width-1 operands at k=3 give d=2: three guarded copies of the left
         alloc = VarAllocator()
-        full = compose(*operands(alloc), 100, alloc=alloc)
-        alloc2 = VarAllocator()
-        compact = compose_compact(*operands(alloc2), 100, alloc=alloc2)
-        assert compact.width == full.width == 3
-        assert len(compact.formula) == len(full.formula) == 8
-        assert len(compact.formula.vars) < len(full.formula.vars)
-        assert solve(compact.formula).status == UNSAT
+        left = split(axiom(3), 100, alloc=alloc)
+        right = as_derived(fresh_copy(left.formula, alloc), 3)
+        full = compose(left, right, 100, alloc=alloc)
+        assert full.width == 3
+        assert len(full.formula) == 8
         assert solve(full.formula).status == UNSAT
 
-    def test_operand_overflow_detected(self):
-        # df1's sub-width variable guards clauses of the width-k part, so
-        # reusing one copy for all three guards pushes it past the cap
+    def test_compose_at_its_exact_requirement(self):
         alloc = VarAllocator()
         chain1 = split(axiom(3), 100, alloc=alloc)
         wide = compose(axiom(3), chain1, 100, alloc=alloc)
@@ -190,10 +178,7 @@ class TestComposeCompact:
         need = compose_requirement(3, narrow.width, other.width,
                                    narrow.size, other.size)
         assert need == 5
-        with pytest.raises(CalculusError):
-            compose_compact(narrow, other, need, alloc=alloc)
-        assert compose(narrow, as_derived(fresh_copy(other.formula, alloc), 3),
-                       need, alloc=alloc) is not None
+        assert compose(narrow, other, need, alloc=alloc).is_final
 
 
 class TestRandomDerivations:

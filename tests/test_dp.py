@@ -1,4 +1,6 @@
 import hashlib
+import heapq
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,12 +52,19 @@ F2_256 = int("19564847516806045430379739490280449663"
              "36542570295493468906814486630052008478")
 
 # sha256 of serialize_trace(feasible(k, f2 + 1)), recorded before feasible
-# bounded the frontier by the search's threshold
+# bounded the frontier by the search's threshold; 64, 96 and literal 40,
+# frontier witnesses all, before the frontier lost its bit-length prefilters
 WITNESS_SHA256 = {
+    (64, False):
+        "ec8e419a262357827f7012c6f036ebacb82c3a8401fdb1fbf7d5599cc62bd20c",
+    (96, False):
+        "98447d4bc5b78bdcd145edc3dff3ca5149af0ae820a4b98e7b942040c018a4b5",
     (100, False):
         "84a65e488a1f5b45fba97a7df0c966d9f89db9b89db140f9ef02036b9fba9748",
     (128, False):
         "0f187ec3845f9d79d30fb4c0fe646e94764719a0ea551de8b0afd99ff923bce4",
+    (40, True):
+        "380efa56d7e0eefb76f7af0a1e168fa29a31e321837391e1cc833e83b85c9618",
     (63, True):
         "205c94dd6d2502c07fb328efde41a45e069477ccfb0b1151370965f96688f9ba",
     (70, True):
@@ -118,10 +127,15 @@ class TestF2Value:
             for guess in (1, t // 3, t - 1, t, t + 1, 2 * t, 2 ** k):
                 assert _threshold_search(k, guess=guess) == t, (k, guess)
 
-    @pytest.mark.parametrize("k", [128, 256])
+    @pytest.mark.parametrize("k", [80, 128, 200, 256])
     def test_unguided_search_starts_near_the_threshold(self, k, monkeypatch):
         # the first probe comes from guide line d, (0.5 log2 k + 0.23)
-        # 2^k / k; a midpoint start took 9 and 11 checks here
+        # 2^k / k; a midpoint start took 9 and 11 checks at 128 and 256.
+        # At 80 and 200 the line lies above T(k), and bisecting up from 1
+        # after that first feasible check took 7 checks at each
+        expected = {128: F2_128 + 1, 256: F2_256 + 1}.get(k)
+        if expected is None:
+            expected = _threshold_search(k)
         checks = []
         capped = kcnf.dp._capped_fixpoint
 
@@ -130,7 +144,7 @@ class TestF2Value:
             return capped(*args)
 
         monkeypatch.setattr(kcnf.dp, "_capped_fixpoint", counted)
-        assert _threshold_search(k) == {128: F2_128, 256: F2_256}[k] + 1
+        assert _threshold_search(k) == expected
         assert len(checks) <= 4, checks
 
     def test_cli_rejects_nonpositive_k_before_the_guide_line(self, capsys):
@@ -211,6 +225,25 @@ class TestFeasible:
         text = serialize_trace(feasible(k, f2 + 1, literal=literal))
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == WITNESS_SHA256[k, literal]
+
+    @pytest.mark.parametrize("k,literal,pushes", [
+        (64, False, 14650), (96, False, 52461), (40, True, 3887)])
+    def test_frontier_heap_pushes_pinned(self, k, literal, pushes,
+                                         monkeypatch):
+        # the pushes the frontier makes under feasible's bound; a pruning
+        # change that lets another candidate into the heap, or keeps one
+        # out, shows here even where the witness stays the same
+        t = f2_value(k, literal) + 1
+        count = [0]
+
+        def heappush(heap, item):
+            count[0] += 1
+            heapq.heappush(heap, item)
+
+        monkeypatch.setattr(kcnf.dp, "heapq", types.SimpleNamespace(
+            heappush=heappush, heappop=heapq.heappop, heapify=heapq.heapify))
+        assert _frontier_threshold(k, literal, bound=t).value == t
+        assert count[0] == pushes
 
     def test_literal_witness_can_need_free_splits(self):
         # below the restricted threshold the witness must split something
