@@ -173,7 +173,8 @@ def compose(df1: DerivedFormula, df2: DerivedFormula, s: int,
         parts.append(copy.complete)
     parts.append(product(df2.incomplete, Formula([list(block)])))
     parts.append(df2.complete)
-    result = Formula(c for part in parts for c in part.clauses)
+    result = Formula._of(
+        frozenset().union(*[part.clauses for part in parts]))
     return as_derived(result, k)
 
 

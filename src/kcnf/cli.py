@@ -104,6 +104,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("k must be positive")
     if args.budget < 0:
         raise ValueError("budget must be nonnegative")
+    if args.max_occ is not None and args.max_occ < 0:
+        raise ValueError("max-occ must be nonnegative")
     formula = read_dimacs(_read_text(args.file))
     report = verify_instance(formula, args.k, s=args.max_occ,
                              run_solver=args.solve, budget=args.budget)

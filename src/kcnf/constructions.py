@@ -114,7 +114,8 @@ def lemma1_build(k: int, l: int,
     for xb, yb in zip(x_blocks, y_blocks):
         trigger = Formula([list(xb)])  # the all-positive clause on the block
         parts.append(product(complete_formula(yb), trigger))
-    formula = Formula(c for part in parts for c in part.clauses)
+    formula = Formula._of(
+        frozenset().union(*[part.clauses for part in parts]))
 
     census = occurrence_census(formula, k)
     assert len(formula) == stats.m, "clause collision in block construction"
@@ -216,7 +217,8 @@ def lemma2_build(k: int, l: int,
             comp = rename(prev_split.complete, mapping)
             guarded = product(inc, Formula([list(xb)]))
             parts.append(guarded.union(comp))
-        formula = Formula(c for part in parts for c in part.clauses)
+        formula = Formula._of(
+            frozenset().union(*[part.clauses for part in parts]))
 
         st = expected[j]
         census = occurrence_census(formula, k)

@@ -5,42 +5,44 @@ mapping emitted as comments when it is not the identity), literals within a
 clause ordered by variable with positive polarity first, clauses sorted
 lexicographically on that form. read_dimacs(write_dimacs(f)) == f whenever
 f already uses contiguous 1..n variables.
+
+The writer sorts integer ranks, not literals: the renumbered literal +v has
+rank 2v and -v has rank 2v + 1. Rank order is (variable, positive first)
+order, so a clause's sorted ranks list its literals in canonical order, and
+two clauses compare as lists of ranks exactly as clause_sort_key compares
+them (element by element, a proper prefix first). Each rank is then emitted
+through a table of literal strings.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import List
 
-from .formula import Clause, Formula, clause_sort_key
+from .formula import Formula
 
 
 class DimacsError(ValueError):
     pass
 
 
-def _literal_order(clause: Clause) -> List[int]:
-    return sorted(clause, key=lambda lit: (abs(lit), 0 if lit > 0 else 1))
-
-
 def write_dimacs(f: Formula) -> str:
     """Serialize a formula; empty clauses come out as a lone '0' line."""
     old_vars = sorted(f.vars)
-    mapping = {old: new for new, old in enumerate(old_vars, start=1)}
+    n = len(old_vars)
     lines: List[str] = []
-    if any(old != new for old, new in mapping.items()):
-        for old in old_vars:
-            lines.append(f"c map {old} -> {mapping[old]}")
-    lines.append(f"p cnf {len(old_vars)} {len(f)}")
-
-    def translate(clause: Clause) -> Clause:
-        return frozenset(
-            (1 if lit > 0 else -1) * mapping[abs(lit)] for lit in clause
-        )
-
-    renumbered = sorted((translate(c) for c in f.clauses), key=clause_sort_key)
-    for clause in renumbered:
-        lines.append(" ".join(str(lit) for lit in _literal_order(clause)) + " 0"
-                     if clause else "0")
+    if old_vars and old_vars[-1] != n:  # not already 1..n
+        lines += [f"c map {old} -> {new}"
+                  for new, old in enumerate(old_vars, start=1)]
+    lines.append(f"p cnf {n} {len(f)}")
+    rank = {}
+    token = ["", ""]  # ranks start at 2
+    for new, old in enumerate(old_vars, start=1):
+        rank[old] = 2 * new
+        rank[-old] = 2 * new + 1
+        token += (str(new), str(-new))
+    rows = sorted(sorted(map(rank.__getitem__, c)) for c in f.clauses)
+    lines += [" ".join([*map(token.__getitem__, row), "0"]) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -53,15 +55,16 @@ def read_dimacs(text: str) -> Formula:
     the declared count, an unterminated final clause, or a tautology.
     """
     header = None
-    tokens: List[int] = []
+    clauses: List[List[int]] = []
+    current: List[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "c":
             continue
-        if line.startswith("p"):
+        if parts[0][0] == "p":
+            line = raw.strip()
             if header is not None:
                 raise DimacsError(f"line {lineno}: duplicate header")
-            parts = line.split()
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
                 raise DimacsError(f"line {lineno}: malformed header {line!r}")
             try:
@@ -73,26 +76,33 @@ def read_dimacs(text: str) -> Formula:
             continue
         if header is None:
             raise DimacsError(f"line {lineno}: clause before header")
-        for tok in line.split():
-            try:
-                tokens.append(int(tok))
-            except ValueError:
-                raise DimacsError(f"line {lineno}: bad token {tok!r}")
+        try:
+            lits = list(map(int, parts))
+        except ValueError:
+            for tok in parts:
+                try:
+                    int(tok)
+                except ValueError:
+                    raise DimacsError(f"line {lineno}: bad token {tok!r}")
+        if not current and lits[-1] == 0 and lits.index(0) == len(lits) - 1:
+            lits.pop()  # the common line: exactly one whole clause
+            clauses.append(lits)
+            continue
+        for tok in lits:
+            if tok == 0:
+                clauses.append(current)
+                current = []
+            else:
+                current.append(tok)
     if header is None:
         raise DimacsError("missing 'p cnf' header")
 
     n_vars, _ = header
-    clauses: List[List[int]] = []
-    current: List[int] = []
-    for tok in tokens:
-        if tok == 0:
-            clauses.append(current)
-            current = []
-            continue
-        if abs(tok) > n_vars:
-            raise DimacsError(
-                f"literal {tok} exceeds declared variable count {n_vars}")
-        current.append(tok)
+    body = clauses + [current]  # every literal, in file order
+    if max(map(abs, chain.from_iterable(body)), default=0) > n_vars:
+        tok = next(t for t in chain.from_iterable(body) if abs(t) > n_vars)
+        raise DimacsError(
+            f"literal {tok} exceeds declared variable count {n_vars}")
     if current:
         raise DimacsError("unterminated clause at end of input")
 

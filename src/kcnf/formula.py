@@ -5,11 +5,25 @@ frozensets of literals, and a Formula is an immutable set of clauses.
 Everything downstream (constructions, the composition calculus, DIMACS I/O)
 goes through this module, so the invariants are enforced here once:
 no literal 0, no tautological clause, set semantics everywhere.
+
+Where clauses come from outside a Formula, they are validated: the public
+Formula(...) constructor checks every clause through make_clause, and
+rename() checks its mapping (positive ids, injective) before it maps a
+literal. The closed operations on valid formulas -- union, product of
+variable-disjoint operands, K^- as K minus a clause, the width partition,
+and concatenations of parts that are themselves Formulas -- build their
+result with the private Formula._of, which trusts its clauses: a subset
+or union of valid clauses is valid, and so is c1 | c2 when c1 and c2 share
+no variable. Checking them again would repeat the whole per-literal scan
+at every step of a construction.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, compress
+from operator import neg
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 Literal = int
@@ -26,9 +40,11 @@ def make_clause(literals: Iterable[int]) -> Clause:
     clause = frozenset(literals)
     if 0 in clause:
         raise ValueError("literal 0 is not allowed in a clause")
-    for lit in clause:
-        if -lit in clause and lit > 0:
-            raise ValueError(f"tautological clause: contains both {lit} and {-lit}")
+    if not clause.isdisjoint(map(neg, clause)):
+        for lit in clause:
+            if -lit in clause and lit > 0:
+                raise ValueError(
+                    f"tautological clause: contains both {lit} and {-lit}")
     return clause
 
 
@@ -47,17 +63,21 @@ class Formula:
     __slots__ = ("clauses", "_vars")
 
     def __init__(self, clauses: Iterable[Iterable[int]]):
-        self.clauses: FrozenSet[Clause] = frozenset(make_clause(c) for c in clauses)
+        self.clauses: FrozenSet[Clause] = frozenset(map(make_clause, clauses))
         self._vars: Optional[FrozenSet[int]] = None
+
+    @classmethod
+    def _of(cls, clauses: FrozenSet[Clause]) -> "Formula":
+        """Wrap clauses known to be valid (see the module doc), unchecked."""
+        f = cls.__new__(cls)
+        f.clauses = clauses
+        f._vars = None
+        return f
 
     @property
     def vars(self) -> FrozenSet[int]:
         if self._vars is None:
-            seen = set()
-            for clause in self.clauses:
-                for lit in clause:
-                    seen.add(abs(lit))
-            self._vars = frozenset(seen)
+            self._vars = frozenset(map(abs, chain.from_iterable(self.clauses)))
         return self._vars
 
     def __len__(self) -> int:
@@ -83,13 +103,13 @@ class Formula:
         return sorted(self.clauses, key=clause_sort_key)
 
     def union(self, other: "Formula") -> "Formula":
-        return Formula(self.clauses | other.clauses)
+        return Formula._of(self.clauses | other.clauses)
 
     def widths(self) -> FrozenSet[int]:
-        return frozenset(len(c) for c in self.clauses)
+        return frozenset(map(len, self.clauses))
 
     def is_width_uniform(self, k: int) -> bool:
-        return all(len(c) == k for c in self.clauses)
+        return self.widths() <= {k}
 
 
 def complete_formula(variables: Iterable[int]) -> Formula:
@@ -113,7 +133,7 @@ def almost_complete_formula(variables: Iterable[int]) -> Formula:
     if not vs:
         raise ValueError("K^- needs at least one variable")
     full = complete_formula(vs)
-    return Formula(full.clauses - {frozenset(vs)})
+    return Formula._of(full.clauses - {frozenset(vs)})
 
 
 def product(f1: Formula, f2: Formula) -> Formula:
@@ -125,7 +145,8 @@ def product(f1: Formula, f2: Formula) -> Formula:
     overlap = f1.vars & f2.vars
     if overlap:
         raise ValueError(f"product operands share variables: {sorted(overlap)}")
-    result = Formula(c1 | c2 for c1 in f1.clauses for c2 in f2.clauses)
+    result = Formula._of(
+        frozenset(c1 | c2 for c1 in f1.clauses for c2 in f2.clauses))
     # Disjointness makes collisions impossible; guard against regressions.
     assert len(result) == len(f1) * len(f2)
     return result
@@ -140,19 +161,23 @@ class WidthPartition:
     complete: Formula
 
 
-def width_partition(f: Formula, k: int) -> WidthPartition:
-    """Partition clauses into width < k and width == k; wider is an error."""
+def _split_at(f: Formula, k: int) -> Tuple[List[Clause], List[Clause]]:
+    """Clauses of width < k and of width == k; wider is an error."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    narrow, full = [], []
-    for clause in f.clauses:
-        if len(clause) < k:
-            narrow.append(clause)
-        elif len(clause) == k:
-            full.append(clause)
-        else:
-            raise ValueError(f"clause of width {len(clause)} exceeds k={k}")
-    return WidthPartition(k=k, incomplete=Formula(narrow), complete=Formula(full))
+    widths = list(map(len, f.clauses))  # a frozenset iterates in one order
+    if max(widths, default=0) > k:
+        wide = next(w for w in widths if w > k)
+        raise ValueError(f"clause of width {wide} exceeds k={k}")
+    return (list(compress(f.clauses, map(k.__gt__, widths))),
+            list(compress(f.clauses, map(k.__eq__, widths))))
+
+
+def width_partition(f: Formula, k: int) -> WidthPartition:
+    """Partition clauses into width < k and width == k; wider is an error."""
+    narrow, full = _split_at(f, k)
+    return WidthPartition(k=k, incomplete=Formula._of(frozenset(narrow)),
+                          complete=Formula._of(frozenset(full)))
 
 
 @dataclass(frozen=True)
@@ -167,20 +192,10 @@ class OccurrenceCensus:
 
 def occurrence_census(f: Formula, k: int) -> OccurrenceCensus:
     """Count clause memberships per variable (each clause counts once)."""
-    part = width_partition(f, k)
-    total: Dict[int, int] = {}
-    incomplete: Dict[int, int] = {}
-    complete: Dict[int, int] = {}
-    for clause in part.incomplete.clauses:
-        for lit in clause:
-            v = abs(lit)
-            incomplete[v] = incomplete.get(v, 0) + 1
-            total[v] = total.get(v, 0) + 1
-    for clause in part.complete.clauses:
-        for lit in clause:
-            v = abs(lit)
-            complete[v] = complete.get(v, 0) + 1
-            total[v] = total.get(v, 0) + 1
+    narrow, full = _split_at(f, k)
+    incomplete = Counter(map(abs, chain.from_iterable(narrow)))
+    complete = Counter(map(abs, chain.from_iterable(full)))
+    total = incomplete + complete
     return OccurrenceCensus(
         total=total,
         incomplete=incomplete,
@@ -224,13 +239,18 @@ def fresh_copy(f: Formula, alloc: VarAllocator) -> Formula:
 
 
 def rename(f: Formula, mapping: Dict[int, int]) -> Formula:
-    """Apply an injective variable renaming."""
+    """Apply an injective renaming of positive variable ids."""
+    if not all(isinstance(v, int) and v > 0
+               for v in chain(mapping, mapping.values())):
+        raise ValueError("renaming must map positive ids to positive ids")
     if len(set(mapping.values())) != len(mapping):
         raise ValueError("renaming is not injective")
-    out = Formula(
-        frozenset((1 if lit > 0 else -1) * mapping[abs(lit)] for lit in clause)
-        for clause in f.clauses
-    )
+    table = {}
+    for v, w in mapping.items():
+        table[v] = w
+        table[-v] = -w
+    out = Formula._of(frozenset(
+        frozenset(map(table.__getitem__, clause)) for clause in f.clauses))
     if len(out) != len(f):
         raise ValueError("renaming collapsed clauses")
     return out

@@ -385,7 +385,7 @@ def verify_instance(f: Formula, k: int, s: Optional[int] = None,
         n=len(f.vars),
         m=len(f),
         k=k,
-        width_uniform=f.is_width_uniform(k),
+        width_uniform=widths in ((), (k,)),
         widths=widths,
         max_occurrence=census.max_occurrence,
     )

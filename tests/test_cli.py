@@ -127,6 +127,17 @@ class TestVerify:
         assert (code, text) == (2, "")
         assert "error:" in err and "budget" in err
 
+    def test_negative_max_occ_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "k2.cnf"
+        path.write_text(write_dimacs(complete_formula([1, 2])))
+        code, text, err = invoke(capsys, "verify", str(path), "--k", "2",
+                                 "--max-occ", "-3")
+        assert (code, text) == (2, "")
+        assert "error: max-occ must be nonnegative" in err
+        code, text, _ = invoke(capsys, "verify", str(path), "--k", "2",
+                               "--max-occ", "0")
+        assert code == 1 and "occurrence_cap = 0 (exceeded)" in text
+
     def test_nonpositive_k_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "k2.cnf"
         path.write_text(write_dimacs(complete_formula([1, 2])))

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcnf.formula import (
     Formula,
@@ -29,6 +31,14 @@ def test_make_clause_rejects_tautology():
         make_clause([1, -1])
     with pytest.raises(ValueError):
         make_clause([3, 5, -3])
+
+
+def test_formula_validates_every_clause():
+    with pytest.raises(ValueError, match="literal 0 is not allowed"):
+        Formula([[0]])
+    with pytest.raises(ValueError) as info:
+        Formula([[2], [1, -1]])
+    assert str(info.value) == "tautological clause: contains both 1 and -1"
 
 
 def test_make_clause_collapses_duplicates():
@@ -83,7 +93,7 @@ def test_product_size_and_disjointness():
     f2 = almost_complete_formula([3, 4, 5])
     p = product(f1, f2)
     assert len(p) == len(f1) * len(f2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="share variables"):
         product(f1, complete_formula([2, 3]))
 
 
@@ -159,3 +169,52 @@ def test_fresh_copy_never_collides_even_with_stale_allocator():
 def test_rename_rejects_non_injective():
     with pytest.raises(ValueError):
         rename(Formula([[1, 2]]), {1: 3, 2: 3})
+
+
+@pytest.mark.parametrize("mapping", [{1: 0}, {1: -2, 2: 2}],
+                         ids=["zero", "negative"])
+def test_rename_rejects_nonpositive_images(mapping):
+    with pytest.raises(ValueError):
+        rename(Formula([[1, 2], [1], [-2]]), mapping)
+
+
+def test_rename_maps_literals_with_their_sign():
+    f = Formula([[1, -2], [2, 3], [-1]])
+    assert rename(f, {1: 7, 2: 5, 3: 9}) == Formula([[7, -5], [5, 9], [-7]])
+
+
+def _naive_census(f, k):
+    total, incomplete, complete = {}, {}, {}
+    for clause in f.clauses:
+        side = incomplete if len(clause) < k else complete
+        for lit in clause:
+            side[abs(lit)] = side.get(abs(lit), 0) + 1
+            total[abs(lit)] = total.get(abs(lit), 0) + 1
+    return total, incomplete, complete, max(total.values(), default=0)
+
+
+def _signed(variables):
+    return st.tuples(*[st.sampled_from([v, -v]) for v in variables])
+
+
+sparse_formula_st = st.lists(
+    st.integers(min_value=1, max_value=10 ** 6), min_size=1, max_size=10,
+    unique=True,
+).flatmap(lambda pool: st.lists(
+    st.lists(st.sampled_from(pool), max_size=6, unique=True).flatmap(_signed),
+    max_size=24,
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_formula_st, st.integers(min_value=0, max_value=7))
+def test_census_matches_naive_count(clauses, k):
+    f = Formula(clauses)
+    if any(len(c) > k for c in f.clauses):
+        with pytest.raises(ValueError, match=f"exceeds k={k}"):
+            occurrence_census(f, k)
+        return
+    census = occurrence_census(f, k)
+    got = (census.total, census.incomplete, census.complete,
+           census.max_occurrence)
+    assert got == _naive_census(f, k)
