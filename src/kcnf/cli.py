@@ -14,8 +14,9 @@ unsatisfiability was claimed); 2 usage or I/O errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import ContextManager, List, Optional, Sequence, TextIO, Tuple
 
 from .calculus import CalculusError, parse_trace, serialize_trace
 from .constructions import (
@@ -50,12 +51,16 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _write_text(path: str, text: str) -> None:
+def _open_out(path: str) -> ContextManager[TextIO]:
+    """A text stream to write path through; `-` is standard output."""
     if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
+
+
+def _write_text(path: str, text: str) -> None:
+    with _open_out(path) as fh:
+        fh.write(text)
 
 
 def _emit_file(path: str, body: str, stats: Sequence[Tuple[str, object]]) -> None:
@@ -132,17 +137,13 @@ def _cmd_f2_table(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError("jobs must be positive")
     rows = f2_table(args.k_from, args.k_to, jobs=args.jobs)
-    if args.out == "-":
-        sys.stdout.write(F2_CSV_HEADER + "\n")
+    # stream rows so a long range shows progress and survives a kill
+    with _open_out(args.out) as fh:
+        fh.write(F2_CSV_HEADER + "\n")
         for row in rows:
-            sys.stdout.write(f2_csv_row(row) + "\n")
-    else:
-        # stream rows so a long range shows progress and survives a kill
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(F2_CSV_HEADER + "\n")
-            for row in rows:
-                fh.write(f2_csv_row(row) + "\n")
-                fh.flush()
+            fh.write(f2_csv_row(row) + "\n")
+            fh.flush()
+    if args.out != "-":
         print(args.out)
     return EXIT_OK
 
@@ -153,11 +154,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     lines = [BOUNDS_CSV_HEADER]
     lines += [bounds_csv_row(bounds_row(k))
               for k in range(args.k_from, args.k_to + 1)]
-    body = "\n".join(lines) + "\n"
-    if args.out == "-":
-        sys.stdout.write(body)
-    else:
-        _write_text(args.out, body)
+    _write_text(args.out, "\n".join(lines) + "\n")
+    if args.out != "-":
         print(args.out)
     return EXIT_OK
 

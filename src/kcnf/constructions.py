@@ -291,20 +291,6 @@ def lll_lower_bound(k: int) -> int:
         terms *= 2
 
 
-def norm_at_least_inv_e(value: int, k: int) -> bool:
-    """Exact check of value * k / 2^k >= 1/e (no floating point)."""
-    lhs = value * k
-    rhs = 2 ** k
-    terms = 32
-    while True:
-        e_lo, e_hi = _e_bracket(terms)
-        if lhs * e_lo >= rhs:
-            return True
-        if lhs * e_hi < rhs:
-            return False
-        terms *= 2
-
-
 @dataclass(frozen=True)
 class BoundsRow:
     k: int

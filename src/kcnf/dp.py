@@ -48,6 +48,10 @@ T(k) + 1, which keeps the expansion, and so the trace, what it is without
 a bound. In literal mode the frontier can miss T(k) (see
 _frontier_threshold); feasible then falls back to the search's derivation.
 
+Both fixpoints hand their witness back as the same thing, the finishing
+piece of width k, which links to the pieces it was derived from, and one
+emitter (_trace_from_piece) writes any such piece as a trace.
+
 The fixed-cap closure itself survives as oracle_f2: an exhaustive BFS over
 (width, size, chain-flag) states for one s at a time, feasible only for
 small k, sharing no code with either fixpoint.
@@ -59,7 +63,7 @@ import bisect
 import heapq
 from dataclasses import dataclass
 from decimal import Context, Decimal
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .calculus import (
     DerivTrace,
@@ -83,7 +87,8 @@ class MaterializeError(ValueError):
 
 class _Piece:
     """A derivation summary and its last step; identity-hashed so
-    provenance links stay cheap."""
+    provenance links stay cheap. A finishing piece has width k and size 0,
+    as annotate_trace gives a finished node."""
 
     __slots__ = ("width", "size", "req", "how")
 
@@ -98,15 +103,11 @@ class _Piece:
         return f"_Piece(w={self.width}, m={self.size}, r={self.req})"
 
 
-@dataclass
-class _Threshold:
-    value: int                      # T(k)
-    finish: Tuple                   # ("chain",) | ("pair", a, b) | ("split", a)
-
-
 def _frontier_threshold(k: int, literal: bool = False,
-                        bound: Optional[int] = None) -> Optional[_Threshold]:
-    """Uniform-cost expansion of the piece space; returns T(k) exactly.
+                        bound: Optional[int] = None) -> Optional[_Piece]:
+    """Uniform-cost expansion of the piece space; returns the finishing
+    piece, of width k and req = T(k), whose how is the last step:
+    ("compose", a, b), ("split", a) or ("chain",) for the split chain.
 
     A composite's requirement is at least either operand's, so expanding
     pieces in increasing requirement order is monotone: once every queued
@@ -284,7 +285,7 @@ def _frontier_threshold(k: int, literal: bool = False,
                 r = req
             if d == dfin:
                 if r < best:
-                    best, best_how = r, ("pair", piece, partner)
+                    best, best_how = r, ("compose", piece, partner)
                     best_key = keyf(best - 1)
             elif r < best:
                 tgt = width + d
@@ -323,13 +324,13 @@ def _frontier_threshold(k: int, literal: bool = False,
                 mt = min_size[width + 1]
                 if mt is None or 2 * size < mt:
                     push(width + 1, 2 * size, r, ("split", piece))
-    return None if best_how is None else _Threshold(best, best_how)
+    return None if best_how is None else _Piece(k, 0, best, best_how)
 
 
 def _capped_fixpoint(k: int, s: int, size: List[int], req: List[int],
                      known: int, literal: bool,
                      piece: Optional[List[Optional[_Piece]]] = None
-                     ) -> Tuple[bool, int, Tuple]:
+                     ) -> Tuple[bool, int]:
     """One fixed-cap check: the least fixpoint of the smallest size per width.
 
     size[w] is the smallest piece at width w found so far (2^k when there
@@ -338,16 +339,16 @@ def _capped_fixpoint(k: int, s: int, size: List[int], req: List[int],
     place and must start from pieces derivable within s. Keeping only the
     smallest size per width loses nothing, because a step's output size
     and its cost both grow with each operand's size. Given a piece list
-    (the axiom at width 0), the derivations are kept there as well.
+    (the axiom at width 0), the derivations are kept there as well, and
+    piece[k] gets the finishing piece (width k, size 0).
 
-    Returns (True, r, finish) when a finish fits within s, with r <= s the
-    least requirement among the finishing derivations found; T(k) <= r.
-    finish is () unless derivations are kept. The check stops early at a
-    finish with r <= known, a lower bound on T(k). Returns (False, c, ())
-    otherwise, with c > s the least cost of a rejected step that would
-    finish or add or shrink a piece at the fixpoint. Under any cap below c
-    the same steps are taken and change the same sizes, so the fixpoint is
-    the same and T(k) >= c.
+    Returns (True, r) when a finish fits within s, with r <= s the least
+    requirement among the finishing derivations found; T(k) <= r. The
+    check stops early at a finish with r <= known, a lower bound on T(k).
+    Returns (False, c) otherwise, with c > s the least cost of a rejected
+    step that would finish or add or shrink a piece at the fixpoint. Under
+    any cap below c the same steps are taken and change the same sizes, so
+    the fixpoint is the same and T(k) >= c.
     """
     none = 1 << k
     factor = [(1 << d) - 1 for d in range(k + 1)]
@@ -357,7 +358,7 @@ def _capped_fixpoint(k: int, s: int, size: List[int], req: List[int],
             size[w] = req[w] = c
             if piece:
                 piece[w] = _Piece(w, c, c, ("chain",))
-    best, finish = none, ()
+    best = none
     while True:
         changed = False
         least = none                    # the chain finish is always a step
@@ -392,9 +393,10 @@ def _capped_fixpoint(k: int, s: int, size: List[int], req: List[int],
                     if r < best:
                         best = r
                         if piece:
-                            finish = ("pair", piece[w1], piece[w2])
+                            piece[k] = _Piece(k, 0, r, ("compose", piece[w1],
+                                                        piece[w2]))
                         if r <= known:
-                            return True, r, finish
+                            return True, r
                 elif t < size[tgt]:
                     size[tgt], req[tgt] = t, r
                     changed = True
@@ -413,9 +415,9 @@ def _capped_fixpoint(k: int, s: int, size: List[int], req: List[int],
                     if r < best:
                         best = r
                         if piece:
-                            finish = ("split", piece[w1])
+                            piece[k] = _Piece(k, 0, r, ("split", piece[w1]))
                         if r <= known:
-                            return True, r, finish
+                            return True, r
                 elif c < size[tgt]:
                     size[tgt], req[tgt] = c, r
                     changed = True
@@ -423,8 +425,8 @@ def _capped_fixpoint(k: int, s: int, size: List[int], req: List[int],
                         piece[tgt] = _Piece(tgt, c, r, ("split", piece[w1]))
         if not changed:
             if best < none:
-                return True, best, finish
-            return False, least, ()
+                return True, best
+            return False, least
 
 
 def _start(k: int) -> Tuple[List[int], List[int]]:
@@ -456,7 +458,7 @@ def _threshold_search(k: int, literal: bool = False,
         if probe is None or not lo <= probe < hi:
             probe = (lo + hi) // 2
         size, req = list(base[0]), list(base[1])
-        ok, bound, _ = _capped_fixpoint(k, probe, size, req, lo, literal)
+        ok, bound = _capped_fixpoint(k, probe, size, req, lo, literal)
         if ok:
             hi = bound
             probe = hi - (hi >> 6) if lo == 1 else None
@@ -471,12 +473,12 @@ def _guide_probe(k: int) -> int:
     return (round(guide_line_d(k) * (1 << 32)) << k) // (k << 32)
 
 
-def _search_witness(k: int, t: int, literal: bool) -> _Threshold:
-    """A finish needing exactly t = T(k), from one check at cap t."""
+def _search_witness(k: int, t: int, literal: bool) -> _Piece:
+    """A finishing piece needing exactly t = T(k), from one check at cap t."""
     piece: List[Optional[_Piece]] = [_Piece(0, 1, 0, ("axiom",))] + [None] * k
-    ok, r, finish = _capped_fixpoint(k, t, *_start(k), t, literal, piece)
+    ok, r = _capped_fixpoint(k, t, *_start(k), t, literal, piece)
     assert ok and r == t
-    return _Threshold(t, finish)
+    return piece[k]
 
 
 def f2_value(k: int, literal: bool = False) -> int:
@@ -499,76 +501,58 @@ def feasible(k: int, s: int, literal: bool = False) -> Optional[DerivTrace]:
     The returned trace is the threshold witness, so it is the same for
     every s at or above the threshold (and annotates to required_s =
     f2(k) + 1), except that a generous s >= 2^k short-circuits to the
-    plain split chain. The witness is the frontier fixpoint's whenever
-    it annotates to the threshold the search finds, else the search's own.
-    The search is guessed from s and finds T(k) in two checks at s =
-    T(k); the frontier is then bounded by T(k) (see _frontier_threshold).
+    plain split chain. The search is guessed from s and finds T(k) in two
+    checks at s = T(k). The witness is then the finishing piece of the
+    frontier bounded by T(k) (see _frontier_threshold) if its trace
+    annotates to T(k), else the finishing piece of one search check at
+    cap T(k).
     """
     if k < 1:
         raise ValueError("k must be positive")
     if s < 1:
         raise ValueError("s must be positive")
     if s >= 2 ** k:
-        return _chain_trace(k)
+        return _trace_from_piece(_Piece(k, 0, 1 << k, ("chain",)))
     t = _threshold_search(k, literal, guess=s)
     if s < t:
         return None
-    th = _frontier_threshold(k, literal, bound=t)
-    if th is not None:
-        trace = _trace_from_threshold(th, k)
+    root = _frontier_threshold(k, literal, bound=t)
+    if root is not None:
+        trace = _trace_from_piece(root)
         mode = "literal" if literal else "restricted"
         if annotate_trace(trace, k, mode=mode).required_s == t:
             return trace
-    return _trace_from_threshold(_search_witness(k, t, literal), k)
+    return _trace_from_piece(_search_witness(k, t, literal))
 
 
-def _chain_trace(k: int) -> DerivTrace:
-    nodes = [TraceNode(OP_AXIOM, ())]
-    for i in range(k):
-        nodes.append(TraceNode(OP_SPLIT, (i,)))
-    return DerivTrace(tuple(nodes), k)
+def _trace_from_piece(root: _Piece) -> DerivTrace:
+    """The trace of root's derivation, each piece once, operands first.
 
-
-def _trace_from_threshold(th: _Threshold, k: int) -> DerivTrace:
-    if th.finish == ("chain",):
-        return _chain_trace(k)
+    The post-order is iterative: piece DAGs can be deeper than the default
+    recursion limit at large k. A chain piece of width w is the axiom and
+    w splits; the axiom is the chain of width 0.
+    """
     nodes: List[TraceNode] = []
-    ids = {}
-
-    def emit(root: _Piece) -> int:
-        # iterative post-order; piece DAGs can be deeper than the default
-        # recursion limit at large k
-        stack: List[Tuple[_Piece, bool]] = [(root, False)]
-        while stack:
-            piece, ready = stack.pop()
-            if id(piece) in ids:
-                continue
-            deps = [p for p in piece.how[1:]]
-            if not ready:
-                stack.append((piece, True))
-                stack.extend((p, False) for p in reversed(deps))
-                continue
-            if piece.how[0] == "axiom":
-                nodes.append(TraceNode(OP_AXIOM, ()))
-            elif piece.how[0] == "chain":
-                nodes.append(TraceNode(OP_AXIOM, ()))
-                for _ in range(piece.width):
-                    nodes.append(TraceNode(OP_SPLIT, (len(nodes) - 1,)))
-            elif piece.how[0] == "split":
-                nodes.append(TraceNode(OP_SPLIT, (ids[id(deps[0])],)))
-            else:
-                nodes.append(TraceNode(
-                    OP_COMPOSE, (ids[id(deps[0])], ids[id(deps[1])])))
-            ids[id(piece)] = len(nodes) - 1
-        return ids[id(root)]
-
-    if th.finish[0] == "pair":
-        left = emit(th.finish[1])
-        right = emit(th.finish[2])
-        nodes.append(TraceNode(OP_COMPOSE, (left, right)))
-    else:
-        child = emit(th.finish[1])
-        nodes.append(TraceNode(OP_SPLIT, (child,)))
+    ids: Dict[_Piece, int] = {}
+    stack: List[Tuple[_Piece, bool]] = [(root, False)]
+    while stack:
+        piece, ready = stack.pop()
+        if piece in ids:
+            continue
+        op, *deps = piece.how
+        if not ready:
+            stack.append((piece, True))
+            stack.extend((p, False) for p in reversed(deps))
+            continue
+        if op == "compose":
+            nodes.append(TraceNode(OP_COMPOSE, (ids[deps[0]], ids[deps[1]])))
+        elif op == "split":
+            nodes.append(TraceNode(OP_SPLIT, (ids[deps[0]],)))
+        else:
+            nodes.append(TraceNode(OP_AXIOM, ()))
+            for _ in range(piece.width):
+                nodes.append(TraceNode(OP_SPLIT, (len(nodes) - 1,)))
+        ids[piece] = len(nodes) - 1
     return DerivTrace(tuple(nodes), len(nodes) - 1)
 
 
@@ -614,24 +598,31 @@ def materialize(trace: DerivTrace, k: int, s: int, mode: str = "restricted",
         raise MaterializeError(
             f"expansion would produce {final_total} clauses (cap {cap})")
     alloc = VarAllocator()
-
-    def expand(i: int):
+    # post-order over references, left operand first, so that fresh ids
+    # are drawn in one fixed order; iterative, since a valid trace can be
+    # far deeper than the recursion limit
+    stack: List[Tuple[int, bool]] = [(trace.final, False)]
+    built = []
+    while stack:
+        i, ready = stack.pop()
         node = trace.nodes[i]
+        if not ready:
+            stack.append((i, True))
+            stack.extend((a, False) for a in reversed(node.args))
+            continue
         if node.op == OP_AXIOM:
             df = axiom(k)
         elif node.op == OP_SPLIT:
-            df = split(expand(node.args[0]), s, mode=mode, alloc=alloc)
+            df = split(built.pop(), s, mode=mode, alloc=alloc)
         else:
-            left = expand(node.args[0])
-            right = expand(node.args[1])
-            df = compose(left, right, s, alloc=alloc)
+            right = built.pop()
+            df = compose(built.pop(), right, s, alloc=alloc)
         if df.size != ann.nodes[i].size:
             raise MaterializeError(
                 f"node {i} realized |F'| = {df.size}, annotation says "
                 f"{ann.nodes[i].size}")
-        return df
-
-    result = expand(trace.final)
+        built.append(df)
+    result = built.pop()
     if not result.is_final:
         raise MaterializeError("trace did not finish at width k")
     if len(result.formula) != final_total:

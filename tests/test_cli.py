@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -199,6 +200,28 @@ class TestMaterialize:
         code, _, _ = invoke(capsys, "verify", str(out), "--k", "2",
                             "--max-occ", "4", "--solve")
         assert code == 0
+
+    def test_deep_trace_builds_and_refutes(self, capsys, tmp_path):
+        # 3,000 nested composes, then a finish that expands the chain
+        # twice: far deeper than the recursion limit, and still each
+        # reference gets its own copy, in the recursive expansion's order
+        lines = ["0 AXIOM", "1 SPLIT 0"]
+        lines += [f"{i} COMPOSE 0 {i - 1}" for i in range(2, 3000)]
+        lines += ["3000 COMPOSE 2999 2999", "FINAL 3000"]
+        trace_path = tmp_path / "deep.txt"
+        trace_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "deep.cnf"
+        code, text, _ = invoke(capsys, "materialize", "--k", "2", "--s", "3",
+                               "--trace", str(trace_path), "--out", str(out))
+        assert code == 0
+        assert text.splitlines()[2:4] == ["n=5999", "m=6000"]
+        # recorded from the recursive expansion under a raised limit
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "131de215fe9c95a75c72d3b001e78259837e9b3aad2a445f89c9e714674a63c0")
+        code, text, _ = invoke(capsys, "verify", str(out), "--k", "2",
+                               "--max-occ", "3", "--solve")
+        assert code == 0
+        assert "solver = UNSAT" in text.splitlines()
 
     def test_literal_trace_overflowing_cap_is_violation(self, capsys, tmp_path):
         trace_path = tmp_path / "lit.txt"

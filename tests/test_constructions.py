@@ -19,7 +19,6 @@ from kcnf.constructions import (
     lemma2_occurrence_bound,
     lemma2_stage_stats,
     lll_lower_bound,
-    norm_at_least_inv_e,
     recommended_l,
     sig6,
 )
@@ -180,18 +179,6 @@ class TestLowerBound:
     @pytest.mark.parametrize("k", list(range(1, 30)) + [64, 100, 256, 512])
     def test_against_decimal_oracle(self, k):
         assert lll_lower_bound(k) == _lll_oracle(k)
-
-    def test_inv_e_threshold_is_exact(self):
-        # floor(2^k/(e k)) itself is below 1/e after normalizing, floor+1 is not
-        for k in range(1, 50):
-            b = lll_lower_bound(k)
-            if b > 0:
-                assert not norm_at_least_inv_e(b, k)
-            assert norm_at_least_inv_e(b + 1, k)
-
-    def test_inv_e_far_cases(self):
-        assert norm_at_least_inv_e(2 ** 10, 10)
-        assert not norm_at_least_inv_e(1, 30)
 
 
 class TestBoundsTable:

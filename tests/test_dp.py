@@ -21,8 +21,9 @@ from kcnf.cli import run
 from kcnf.dp import (
     DEFAULT_CLAUSE_CAP,
     _frontier_threshold,
+    _search_witness,
     _threshold_search,
-    _trace_from_threshold,
+    _trace_from_piece,
     F2_CSV_HEADER,
     MaterializeError,
     f2_csv_row,
@@ -75,10 +76,10 @@ WITNESS_SHA256 = {
 def _frontier_witness(k, literal, t, bound=None):
     """The frontier's serialized witness, or None where feasible would
     fall back to the search's derivation."""
-    th = _frontier_threshold(k, literal, bound=bound)
-    if th is None:
+    root = _frontier_threshold(k, literal, bound=bound)
+    if root is None:
         return None
-    trace = _trace_from_threshold(th, k)
+    trace = _trace_from_piece(root)
     mode = "literal" if literal else "restricted"
     if annotate_trace(trace, k, mode=mode).required_s != t:
         return None
@@ -118,8 +119,24 @@ class TestF2Value:
         for literal in (False, True):
             for k in range(1, 49):
                 assert (f2_value(k, literal)
-                        == _frontier_threshold(k, literal).value - 1), \
+                        == _frontier_threshold(k, literal).req - 1), \
                     (k, literal)
+
+    def test_both_fixpoints_return_the_finishing_piece(self):
+        # the frontier under feasible's bound and one search check at cap
+        # T(k) each hand back a piece of width k that needs exactly T(k).
+        # T(1) = 2^1 is reached only by the split chain, which feasible
+        # returns before it searches, so the search starts at k = 2
+        for literal in (False, True):
+            for k in range(1, 49):
+                t = f2_value(k, literal) + 1
+                roots = [_frontier_threshold(k, literal, bound=t)]
+                if k > 1:
+                    roots.append(_search_witness(k, t, literal))
+                else:
+                    assert roots[0].how == ("chain",)
+                for root in roots:
+                    assert root.width == k and root.req == t, (k, literal)
 
     def test_guess_only_steers_the_search(self):
         for k in range(1, 33):
@@ -175,6 +192,13 @@ class TestFeasible:
             "0 AXIOM\n1 SPLIT 0\n2 SPLIT 1\n3 SPLIT 2\nFINAL 3\n")
         ann = annotate_trace(tr, 3, mode="restricted")
         assert ann.required_s == 8
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 12])
+    def test_cap_of_two_to_the_k_is_the_split_chain(self, k):
+        tr = feasible(k, 2 ** k)
+        assert tr.nodes == (TraceNode(OP_AXIOM, ()),) + tuple(
+            TraceNode(OP_SPLIT, (i,)) for i in range(k))
+        assert tr.final == k
 
     def test_witness_annotates_to_exact_requirement(self):
         for k in (2, 3, 4, 5, 6, 8, 10, 16):
@@ -242,7 +266,7 @@ class TestFeasible:
 
         monkeypatch.setattr(kcnf.dp, "heapq", types.SimpleNamespace(
             heappush=heappush, heappop=heapq.heappop, heapify=heapq.heapify))
-        assert _frontier_threshold(k, literal, bound=t).value == t
+        assert _frontier_threshold(k, literal, bound=t).req == t
         assert count[0] == pushes
 
     def test_literal_witness_can_need_free_splits(self):
