@@ -92,12 +92,10 @@ def as_derived(formula: Formula, k: int) -> DerivedFormula:
 
 
 def _splittable(incomplete: Formula, complete: Formula) -> bool:
-    if not incomplete.clauses:
-        return True
-    for v in incomplete.vars:
-        if any(v not in {abs(l) for l in c} for c in incomplete.clauses):
-            return False
-    return not (incomplete.vars & complete.vars)
+    """Every F' variable is in every F' clause (all F' clauses share one
+    variable set), and no F' variable is in F''."""
+    return (len({frozenset(map(abs, c)) for c in incomplete.clauses}) <= 1
+            and incomplete.vars.isdisjoint(complete.vars))
 
 
 def axiom(k: int) -> DerivedFormula:

@@ -16,7 +16,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from typing import ContextManager, List, Optional, Sequence, TextIO, Tuple
+from typing import (ContextManager, Iterable, List, Optional, Sequence,
+                    TextIO, Tuple)
 
 from .calculus import CalculusError, parse_trace, serialize_trace
 from .constructions import (
@@ -61,6 +62,21 @@ def _open_out(path: str) -> ContextManager[TextIO]:
 def _write_text(path: str, text: str) -> None:
     with _open_out(path) as fh:
         fh.write(text)
+
+
+def _write_table(path: str, header: str, lines: Iterable[str]) -> None:
+    """Write a CSV to path, then print the path unless it is `-`.
+
+    Rows are streamed and flushed one by one, so a long range shows
+    progress and survives a kill.
+    """
+    with _open_out(path) as fh:
+        fh.write(header + "\n")
+        for line in lines:
+            fh.write(line + "\n")
+            fh.flush()
+    if path != "-":
+        print(path)
 
 
 def _emit_file(path: str, body: str, stats: Sequence[Tuple[str, object]]) -> None:
@@ -137,30 +153,24 @@ def _cmd_f2_table(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError("jobs must be positive")
     rows = f2_table(args.k_from, args.k_to, jobs=args.jobs)
-    # stream rows so a long range shows progress and survives a kill
-    with _open_out(args.out) as fh:
-        fh.write(F2_CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(f2_csv_row(row) + "\n")
-            fh.flush()
-    if args.out != "-":
-        print(args.out)
+    _write_table(args.out, F2_CSV_HEADER, map(f2_csv_row, rows))
     return EXIT_OK
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     if not 1 <= args.k_from <= args.k_to:
         raise ValueError("need 1 <= k-from <= k-to")
-    lines = [BOUNDS_CSV_HEADER]
-    lines += [bounds_csv_row(bounds_row(k))
-              for k in range(args.k_from, args.k_to + 1)]
-    _write_text(args.out, "\n".join(lines) + "\n")
-    if args.out != "-":
-        print(args.out)
+    _write_table(args.out, BOUNDS_CSV_HEADER,
+                 (bounds_csv_row(bounds_row(k))
+                  for k in range(args.k_from, args.k_to + 1)))
     return EXIT_OK
 
 
 def _cmd_materialize(args: argparse.Namespace) -> int:
+    if args.k < 1:
+        raise ValueError("k must be positive")
+    if args.s < 1:
+        raise ValueError("s must be positive")
     if args.trace is not None:
         trace = parse_trace(_read_text(args.trace))
     else:

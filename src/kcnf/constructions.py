@@ -1,11 +1,13 @@
 """Explicit unsatisfiable (k,s)-CNF families and the bounds table.
 
-Two constructions are provided. The block construction (lemma1_build) glues
-u = floor(k/l) almost-complete blocks to a complete remainder; it is simple
-and width-uniform at k but its occurrence bound is far from optimal. The
-staged construction (lemma2_build) iterates a substitution step l times,
-ending in a (k, 2^(k-l+1))-CNF; it needs the parameter condition
-l * 2^l <= log2(e) * (k - 2l).
+Two constructions are provided, both built from one substitution step
+(_step): a core K(z) x prod K^-(x_b) whose x-blocks guard renamed copies
+of a smaller formula. The staged construction (lemma2_build) iterates the
+step l times, ending in a (k, 2^(k-l+1))-CNF; it needs the parameter
+condition l * 2^l <= log2(e) * (k - 2l). The block construction
+(lemma1_build) is one step of the staged one, at width k over K on k-l
+variables; it is simple and width-uniform at k but its occurrence bound
+is far from optimal.
 
 Occurrence bounds here are exact integers (arbitrary precision); the only
 floating point is in the parameter pickers, where the conservative tie rule
@@ -62,6 +64,71 @@ class ConstructionStats:
 
 
 # ---------------------------------------------------------------------------
+# the substitution step both families are built from
+
+
+def _base_stats(k: int, l: int, w: int) -> ConstructionStats:
+    """Counts for K on w variables, the formula both families start from."""
+    return ConstructionStats(k=k, l=l, n=w, m=2 ** w, max_occurrence=2 ** w,
+                             incomplete_size=2 ** w if w < k else 0)
+
+
+def _step_stats(k: int, l: int, kj: int, d: int,
+                prev: ConstructionStats) -> ConstructionStats:
+    """Closed-form counts of _step(k, kj, d, F) for an F counted by prev."""
+    u = kj // d
+    core = 2 ** (kj - u * d) * (2 ** d - 1) ** u      # clauses gluing all blocks
+    return ConstructionStats(
+        k=k,
+        l=l,
+        n=kj + u * prev.n,
+        m=core + u * prev.m,
+        max_occurrence=max(prev.max_occurrence, core + prev.incomplete_size),
+        incomplete_size=core if kj < k else 0,
+    )
+
+
+def _step(k: int, kj: int, d: int, prev: Formula) -> Formula:
+    """Substitute u = floor(kj/d) guarded copies of prev into a core.
+
+    The core is K(z) x prod K^-(x_b) over a z-block of kj - u*d variables
+    and u x-blocks of d variables, so its clauses have width kj. Copy b of
+    prev keeps its width-k clauses and adds the all-positive clause on x_b
+    to each of its narrower ones.
+
+    Variable layout (ids ascending): the z-block, then the u x-blocks, then
+    the u renamed copies of prev (sorted old id -> new id within each copy).
+    """
+    u = kj // d
+    prev_split = width_partition(prev, k)
+    alloc = VarAllocator()
+    z_block = alloc.fresh_block(kj - u * d)
+    x_blocks = [alloc.fresh_block(d) for _ in range(u)]
+    core = complete_formula(z_block)
+    for xb in x_blocks:
+        core = product(core, almost_complete_formula(xb))
+    parts = [core]
+    for xb in x_blocks:
+        mapping = {v: alloc.fresh() for v in sorted(prev.vars)}
+        inc = rename(prev_split.incomplete, mapping)
+        comp = rename(prev_split.complete, mapping)
+        guarded = product(inc, Formula([list(xb)]))
+        parts.append(guarded.union(comp))
+    return Formula._of(frozenset().union(*[part.clauses for part in parts]))
+
+
+def _check(formula: Formula, st: ConstructionStats, kj: int) -> None:
+    """Assert st's exact counts, and width kj for every clause below st.k."""
+    census = occurrence_census(formula, st.k)
+    assert len(formula) == st.m, "clause collision in construction"
+    assert len(formula.vars) == st.n
+    assert census.max_occurrence == st.max_occurrence
+    inc_part = width_partition(formula, st.k).incomplete
+    assert len(inc_part) == st.incomplete_size
+    assert inc_part.is_width_uniform(kj)
+
+
+# ---------------------------------------------------------------------------
 # block construction
 
 
@@ -75,53 +142,25 @@ def lemma1_params(k: int, l: int) -> Tuple[int, int]:
 
 def lemma1_stats(k: int, l: int) -> ConstructionStats:
     """Closed-form counts; no formula is materialized."""
-    u, v = lemma1_params(k, l)
-    core = 2 ** v * (2 ** l - 1) ** u      # clauses gluing all blocks
-    per_block = 2 ** (k - l)               # clauses per block trigger
-    return ConstructionStats(
-        k=k,
-        l=l,
-        n=k + u * (k - l),
-        m=core + u * per_block,
-        max_occurrence=core + per_block,
-        incomplete_size=0,
-    )
+    lemma1_params(k, l)                    # rejects l outside 1..k
+    return _step_stats(k, l, k, l, _base_stats(k, l, k - l))
 
 
 def lemma1_build(k: int, l: int,
                  cap: int = DEFAULT_CLAUSE_CAP) -> Tuple[Formula, ConstructionStats]:
-    """Materialize the block construction.
+    """Materialize the block construction: one step over K on k-l variables.
 
     Variable layout (ids ascending): the v leftover variables, then the u
-    x-blocks of size l, then the u y-blocks of size k-l. The result is a
-    width-uniform unsatisfiable k-CNF whose census matches lemma1_stats
-    exactly (asserted here).
+    x-blocks of size l, then the u y-blocks of size k-l, each a renamed
+    copy of that K. The result is a width-uniform unsatisfiable k-CNF
+    whose census matches lemma1_stats exactly (asserted here).
     """
     stats = lemma1_stats(k, l)
     if stats.m > cap:
         raise ConstructionSizeError(
             f"k={k}, l={l} needs {stats.m} clauses (cap {cap})")
-    u, v = lemma1_params(k, l)
-    alloc = VarAllocator()
-    z_block = alloc.fresh_block(v)
-    x_blocks = [alloc.fresh_block(l) for _ in range(u)]
-    y_blocks = [alloc.fresh_block(k - l) for _ in range(u)]
-
-    core = complete_formula(z_block)
-    for xb in x_blocks:
-        core = product(core, almost_complete_formula(xb))
-    parts = [core]
-    for xb, yb in zip(x_blocks, y_blocks):
-        trigger = Formula([list(xb)])  # the all-positive clause on the block
-        parts.append(product(complete_formula(yb), trigger))
-    formula = Formula._of(
-        frozenset().union(*[part.clauses for part in parts]))
-
-    census = occurrence_census(formula, k)
-    assert len(formula) == stats.m, "clause collision in block construction"
-    assert len(formula.vars) == stats.n
-    assert census.max_occurrence == stats.max_occurrence
-    assert formula.is_width_uniform(k)
+    formula = _step(k, k, l, complete_formula(range(1, k - l + 1)))
+    _check(formula, stats, k)
     return formula, stats
 
 
@@ -147,28 +186,9 @@ def lemma2_stage_stats(k: int, l: int) -> List[ConstructionStats]:
     """Closed-form per-stage counts for stages j = 0..l."""
     if not lemma2_condition(k, l):
         raise ValueError(f"parameter condition fails for k={k}, l={l}")
-    base_width = k - l
-    stats = [ConstructionStats(
-        k=k, l=l,
-        n=base_width,
-        m=2 ** base_width,
-        max_occurrence=2 ** base_width if base_width > 0 else 1,
-        incomplete_size=2 ** base_width if l > 0 else 0,
-    )]
+    stats = [_base_stats(k, l, k - l)]
     for j in range(1, l + 1):
-        prev = stats[-1]
-        kj = k - l + j
-        dj = l - j + 1
-        uj = kj // dj
-        vj = kj - uj * dj
-        core = 2 ** vj * (2 ** dj - 1) ** uj
-        stats.append(ConstructionStats(
-            k=k, l=l,
-            n=kj + uj * prev.n,
-            m=core + uj * prev.m,
-            max_occurrence=max(prev.max_occurrence, core + prev.incomplete_size),
-            incomplete_size=core if j < l else 0,
-        ))
+        stats.append(_step_stats(k, l, k - l + j, l - j + 1, stats[-1]))
     return stats
 
 
@@ -176,15 +196,12 @@ def lemma2_build(k: int, l: int,
                  cap: int = DEFAULT_CLAUSE_CAP) -> List[Tuple[Formula, ConstructionStats]]:
     """Materialize all stages of the staged construction.
 
-    Stage 0 is the complete formula on k-l variables; stage j substitutes
-    u_j guarded copies of stage j-1 (fresh x-block per copy) into a core
-    K(z) x prod K^-(x-blocks). Each stage is checked against the closed
-    form and against the occurrence cap 2^(k-l+1).
-
-    Per-stage variable layout: z-block, then the u_j x-blocks, then the
-    u_j renamed copies of the previous stage's variables (sorted old id ->
-    new id within each copy). Unsatisfiability of every stage is a solver
-    fact, not re-proved here; see the tests and `kcnf verify --solve`.
+    Stage 0 is the complete formula on k-l variables; stage j is the step
+    at width k_j = k-l+j with x-blocks of size l-j+1 over stage j-1 (see
+    _step for the variable layout). Each stage is checked against the
+    closed form and against the occurrence cap 2^(k-l+1). Unsatisfiability
+    of every stage is a solver fact, not re-proved here; see the tests and
+    `kcnf verify --solve`.
     """
     expected = lemma2_stage_stats(k, l)
     if any(st.m > cap for st in expected):
@@ -193,43 +210,13 @@ def lemma2_build(k: int, l: int,
             f"k={k}, l={l} needs {worst} clauses in one stage (cap {cap})")
     s_bound = lemma2_occurrence_bound(k, l)
 
-    stages: List[Tuple[Formula, ConstructionStats]] = []
-    current = complete_formula(range(1, k - l + 1))
-    stages.append((current, expected[0]))
+    stages = [(complete_formula(range(1, k - l + 1)), expected[0])]
     for j in range(1, l + 1):
         kj = k - l + j
-        dj = l - j + 1
-        uj = kj // dj
-        vj = kj - uj * dj
-        prev = stages[-1][0]
-        prev_split = width_partition(prev, k)
-
-        alloc = VarAllocator()
-        z_block = alloc.fresh_block(vj)
-        x_blocks = [alloc.fresh_block(dj) for _ in range(uj)]
-        core = complete_formula(z_block)
-        for xb in x_blocks:
-            core = product(core, almost_complete_formula(xb))
-        parts = [core]
-        for xb in x_blocks:
-            mapping = {v: alloc.fresh() for v in sorted(prev.vars)}
-            inc = rename(prev_split.incomplete, mapping)
-            comp = rename(prev_split.complete, mapping)
-            guarded = product(inc, Formula([list(xb)]))
-            parts.append(guarded.union(comp))
-        formula = Formula._of(
-            frozenset().union(*[part.clauses for part in parts]))
-
-        st = expected[j]
-        census = occurrence_census(formula, k)
-        assert len(formula) == st.m, "clause collision in staged construction"
-        assert len(formula.vars) == st.n
-        assert census.max_occurrence == st.max_occurrence
-        assert census.max_occurrence <= s_bound
-        inc_part = width_partition(formula, k).incomplete
-        assert len(inc_part) == st.incomplete_size
-        assert inc_part.is_width_uniform(kj) or not inc_part.clauses
-        stages.append((formula, st))
+        formula = _step(k, kj, l - j + 1, stages[-1][0])
+        _check(formula, expected[j], kj)
+        assert expected[j].max_occurrence <= s_bound
+        stages.append((formula, expected[j]))
     return stages
 
 

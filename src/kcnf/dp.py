@@ -358,7 +358,7 @@ def _capped_fixpoint(k: int, s: int, size: List[int], req: List[int],
             size[w] = req[w] = c
             if piece:
                 piece[w] = _Piece(w, c, c, ("chain",))
-    best = none
+    best = none + 1                     # a finish may need exactly 2^k
     while True:
         changed = False
         least = none                    # the chain finish is always a step
@@ -424,7 +424,7 @@ def _capped_fixpoint(k: int, s: int, size: List[int], req: List[int],
                     if piece:
                         piece[tgt] = _Piece(tgt, c, r, ("split", piece[w1]))
         if not changed:
-            if best < none:
+            if best <= none:
                 return True, best
             return False, least
 

@@ -10,6 +10,7 @@ from kcnf.calculus import (
     OP_COMPOSE,
     OP_SPLIT,
     TraceNode,
+    _splittable,
     annotate_trace,
     as_derived,
     axiom,
@@ -22,6 +23,32 @@ from kcnf.calculus import (
 )
 from kcnf.formula import Formula, VarAllocator, complete_formula, fresh_copy, occurrence_census
 from kcnf.solver import UNSAT, solve
+
+
+def _clause_lists(top):
+    """Lists of clauses over variables 1..top, sometimes all on one set."""
+    clause = st.lists(st.integers(-top, top).filter(bool), max_size=4).filter(
+        lambda c: not any(-l in c for l in c))
+
+    def on_one_set(vs, signs):
+        return [[v if sign else -v for v, sign in zip(sorted(vs), row)]
+                for row in signs]
+
+    rows = st.lists(st.lists(st.booleans(), min_size=top, max_size=top),
+                    max_size=6)
+    return st.one_of(st.lists(clause, max_size=6),
+                     st.builds(on_one_set, st.sets(st.integers(1, top)), rows))
+
+
+def _splittable_reference(incomplete, complete):
+    """The per-variable definition: every F' variable in every F' clause,
+    and no F' variable in F''."""
+    if not incomplete.clauses:
+        return True
+    for v in incomplete.vars:
+        if any(v not in {abs(l) for l in c} for c in incomplete.clauses):
+            return False
+    return not (incomplete.vars & complete.vars)
 
 
 class TestDerivedState:
@@ -46,6 +73,12 @@ class TestDerivedState:
         assert not as_derived(Formula([[-1], [1, 2], [1, -2]]), 2).splittable
         # sub-width clause missing one of the sub-width variables is not
         assert not as_derived(Formula([[1], [2]]), 2).splittable
+
+    @given(_clause_lists(4), _clause_lists(6))
+    def test_splittable_matches_per_variable_definition(self, inc, comp):
+        incomplete, complete = Formula(inc), Formula(comp)
+        assert _splittable(incomplete, complete) == \
+            _splittable_reference(incomplete, complete)
 
 
 class TestSplit:

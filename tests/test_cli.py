@@ -241,6 +241,24 @@ class TestMaterialize:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("flag,message", [("--k", "k must be positive"),
+                                              ("--s", "s must be positive")])
+    @pytest.mark.parametrize("with_trace", [False, True])
+    def test_nonpositive_k_or_s_is_usage_error(self, capsys, tmp_path, flag,
+                                               message, with_trace):
+        # the same exit and message whether or not a trace is given
+        values = {"--k": "2", "--s": "4", flag: "0"}
+        argv = ["materialize", "--k", values["--k"], "--s", values["--s"],
+                "--out", str(tmp_path / "x.cnf")]
+        if with_trace:
+            trace_path = tmp_path / "chain.txt"
+            trace_path.write_text("0 AXIOM\n1 SPLIT 0\n2 SPLIT 1\nFINAL 2\n")
+            argv += ["--trace", str(trace_path)]
+        code, text, err = invoke(capsys, *argv)
+        assert (code, text) == (2, "")
+        assert f"error: {message}" in err
+        assert not (tmp_path / "x.cnf").exists()
+
 
 class TestTables:
     def test_f2_table_contents(self, capsys, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -22,6 +23,7 @@ from kcnf.constructions import (
     recommended_l,
     sig6,
 )
+from kcnf.dimacs import write_dimacs
 from kcnf.formula import complete_formula, occurrence_census, width_partition
 from kcnf.solver import UNSAT, enumerate_models, solve
 
@@ -127,6 +129,26 @@ class TestStagedConstruction:
     def test_cap(self):
         with pytest.raises(ConstructionSizeError):
             lemma2_build(40, 0, cap=1000)
+
+
+class TestOneStep:
+    @pytest.mark.parametrize("k", range(4, 10))
+    def test_block_construction_is_the_first_stage_at_l1(self, k):
+        assert lemma1_build(k, 1) == lemma2_build(k, 1)[-1]
+
+    def test_small_family_bytes_pinned(self):
+        # recorded before both families were built by one shared step
+        h = hashlib.sha256()
+        for k in range(1, 9):
+            for l in range(1, k + 1):
+                h.update(write_dimacs(lemma1_build(k, l)[0]).encode())
+        for k in range(1, 11):
+            for l in range(k + 1):
+                if lemma2_condition(k, l):
+                    for f, _ in lemma2_build(k, l):
+                        h.update(write_dimacs(f).encode())
+        assert h.hexdigest() == (
+            "367f64705d8aa6e29f29e76fe352f341357968e1ad42b77657853269a7dbe098")
 
 
 class TestRecommendedL:

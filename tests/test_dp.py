@@ -125,18 +125,27 @@ class TestF2Value:
     def test_both_fixpoints_return_the_finishing_piece(self):
         # the frontier under feasible's bound and one search check at cap
         # T(k) each hand back a piece of width k that needs exactly T(k).
-        # T(1) = 2^1 is reached only by the split chain, which feasible
-        # returns before it searches, so the search starts at k = 2
+        # At k = 1 the frontier's piece is the split chain
         for literal in (False, True):
             for k in range(1, 49):
                 t = f2_value(k, literal) + 1
-                roots = [_frontier_threshold(k, literal, bound=t)]
-                if k > 1:
-                    roots.append(_search_witness(k, t, literal))
-                else:
+                roots = [_frontier_threshold(k, literal, bound=t),
+                         _search_witness(k, t, literal)]
+                if k == 1:
                     assert roots[0].how == ("chain",)
                 for root in roots:
                     assert root.width == k and root.req == t, (k, literal)
+
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_search_finishes_at_two_to_the_k(self, literal):
+        # T(1) = 2 = 2^1: a check at cap 2 must still report that finish,
+        # as the compose of the axiom with itself
+        root = _search_witness(1, 2, literal)
+        assert root.width == 1 and root.req == 2
+        trace = _trace_from_piece(root)
+        assert serialize_trace(trace) == "0 AXIOM\n1 COMPOSE 0 0\nFINAL 1\n"
+        mode = "literal" if literal else "restricted"
+        assert annotate_trace(trace, 1, mode=mode).required_s == 2
 
     def test_guess_only_steers_the_search(self):
         for k in range(1, 33):
