@@ -12,6 +12,8 @@ the occurrence cap s checkable per step:
            K^-(X) over a fresh d-block X, plus F2' x {{X}} u F2''.
                                              needs s >= (2^d - 1)|F1'| + |F2'|
 
+Both rules are calls of formula.substitute, F' x G u F'' for a guard formula G.
+
 Splitting is only sound under the cap when the split variables of F' do not
 already occur elsewhere; the restricted mode enforces the structural
 condition (every F'-variable in every F'-clause and in no F''-clause), which
@@ -33,8 +35,8 @@ from .formula import (
     Formula,
     VarAllocator,
     almost_complete_formula,
-    fresh_copy,
-    product,
+    complete_formula,
+    substitute,
     width_partition,
 )
 
@@ -129,10 +131,8 @@ def split(df: DerivedFormula, s: int, mode: str = "restricted",
         raise CalculusError(
             "restricted split: F' variables must fill F' and avoid F''")
     alloc = _ensure_alloc(alloc, df.formula)
-    x = alloc.fresh()
-    halves = [c | {x} for c in df.incomplete.clauses]
-    halves += [c | {-x} for c in df.incomplete.clauses]
-    return as_derived(Formula(halves).union(df.complete), df.k)
+    guards = complete_formula([alloc.fresh()])
+    return as_derived(substitute(df.incomplete, df.complete, guards), df.k)
 
 
 def compose_requirement(k: int, k1: int, k2: int, m1: int, m2: int) -> int:
@@ -146,9 +146,9 @@ def compose(df1: DerivedFormula, df2: DerivedFormula, s: int,
             alloc: Optional[VarAllocator] = None) -> DerivedFormula:
     """Apply the compose rule; operands must be variable-disjoint.
 
-    One copy of df1 per clause of K^- over the fresh block (the first reuses
-    df1's own variables). Every fresh block variable ends up in exactly
-    (2^d - 1)|F1'| + |F2'| clauses, which must be within s.
+    One substitution of df1 per clause of K^- over the fresh block (the
+    first on df1's own variables). Every fresh block variable ends up in
+    exactly (2^d - 1)|F1'| + |F2'| clauses, which must be within s.
     """
     df1, df2 = _check_compose_operands(df1, df2)
     k = df1.k
@@ -159,20 +159,11 @@ def compose(df1: DerivedFormula, df2: DerivedFormula, s: int,
     d = k - df2.width
     block = alloc.fresh_block(d)
 
-    parts: List[Formula] = []
-    first = True
-    for guard in almost_complete_formula(block).canonical_clauses():
-        if first:
-            copy = df1
-            first = False
-        else:
-            copy = as_derived(fresh_copy(df1.formula, alloc), k)
-        parts.append(product(copy.incomplete, Formula([guard])))
-        parts.append(copy.complete)
-    parts.append(product(df2.incomplete, Formula([list(block)])))
-    parts.append(df2.complete)
-    result = Formula._of(
-        frozenset().union(*[part.clauses for part in parts]))
+    first, *rest = almost_complete_formula(block).canonical_clauses()
+    result = substitute(df1.incomplete, df1.complete, Formula([first])).union(
+        *[substitute(df1.incomplete, df1.complete, Formula([guard]), alloc)
+          for guard in rest],
+        substitute(df2.incomplete, df2.complete, Formula([block])))
     return as_derived(result, k)
 
 

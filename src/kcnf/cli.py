@@ -26,6 +26,7 @@ from .constructions import (
     bounds_row,
     lemma1_build,
     lemma2_build,
+    lemma2_condition,
     recommended_l,
 )
 from .dimacs import DimacsError, read_dimacs, write_dimacs
@@ -100,7 +101,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     l = args.l
     if l is None:
         l = recommended_l(args.k, args.method)
-        if l < 1:
+        # lemma2 also takes l = 0, and l = 1 only where its condition holds
+        if l < 1 and (args.method == "lemma1" or lemma2_condition(args.k, 1)):
             print(f"note: recommended l = {l} is below the builder minimum, "
                   f"using l = 1", file=sys.stderr)
             l = 1
@@ -143,7 +145,7 @@ def _cmd_f2(args: argparse.Namespace) -> int:
     if args.emit_trace is not None:
         trace = feasible(args.k, value + 1, literal=args.paper_literal)
         _write_text(args.emit_trace, serialize_trace(trace))
-    print(value)
+    print(value, file=sys.stderr if args.emit_trace == "-" else sys.stdout)
     return EXIT_OK
 
 
@@ -229,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("f2", help="print f2(k); optionally emit the witness trace")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--emit-trace", default=None, metavar="FILE",
-                   help="write the derivation trace at s = f2(k) + 1")
+                   help="write the trace at s = f2(k) + 1 (on -, f2 goes to stderr)")
     p.add_argument("--paper-literal", action="store_true",
                    help="relax the split rule to any subformula (comparison only)")
     p.set_defaults(func=_cmd_f2)

@@ -1,13 +1,13 @@
 """Explicit unsatisfiable (k,s)-CNF families and the bounds table.
 
-Two constructions are provided, both built from one substitution step
-(_step): a core K(z) x prod K^-(x_b) whose x-blocks guard renamed copies
-of a smaller formula. The staged construction (lemma2_build) iterates the
-step l times, ending in a (k, 2^(k-l+1))-CNF; it needs the parameter
-condition l * 2^l <= log2(e) * (k - 2l). The block construction
-(lemma1_build) is one step of the staged one, at width k over K on k-l
-variables; it is simple and width-uniform at k but its occurrence bound
-is far from optimal.
+Two constructions are provided, both built from one step (_step): a core
+K(z) x prod K^-(x_b) whose x-blocks guard renamed copies of a smaller
+formula, each by formula.substitute, the step of the calculus rules. The
+staged construction (lemma2_build) iterates the step l times, ending in a
+(k, 2^(k-l+1))-CNF, under the condition l * 2^l <= log2(e) * (k - 2l).
+The block construction (lemma1_build) is one step of the staged one, at
+width k over K on k-l variables; it is simple and width-uniform at k but
+its occurrence bound is far from optimal.
 
 Occurrence bounds here are exact integers (arbitrary precision); the only
 floating point is in the parameter pickers, where the conservative tie rule
@@ -29,7 +29,7 @@ from .formula import (
     complete_formula,
     occurrence_census,
     product,
-    rename,
+    substitute,
     width_partition,
 )
 
@@ -107,14 +107,8 @@ def _step(k: int, kj: int, d: int, prev: Formula) -> Formula:
     core = complete_formula(z_block)
     for xb in x_blocks:
         core = product(core, almost_complete_formula(xb))
-    parts = [core]
-    for xb in x_blocks:
-        mapping = {v: alloc.fresh() for v in sorted(prev.vars)}
-        inc = rename(prev_split.incomplete, mapping)
-        comp = rename(prev_split.complete, mapping)
-        guarded = product(inc, Formula([list(xb)]))
-        parts.append(guarded.union(comp))
-    return Formula._of(frozenset().union(*[part.clauses for part in parts]))
+    return core.union(*[substitute(prev_split.incomplete, prev_split.complete,
+                                   Formula([xb]), alloc) for xb in x_blocks])
 
 
 def _check(formula: Formula, st: ConstructionStats, kj: int) -> None:
@@ -146,8 +140,7 @@ def lemma1_stats(k: int, l: int) -> ConstructionStats:
     return _step_stats(k, l, k, l, _base_stats(k, l, k - l))
 
 
-def lemma1_build(k: int, l: int,
-                 cap: int = DEFAULT_CLAUSE_CAP) -> Tuple[Formula, ConstructionStats]:
+def lemma1_build(k: int, l: int) -> Tuple[Formula, ConstructionStats]:
     """Materialize the block construction: one step over K on k-l variables.
 
     Variable layout (ids ascending): the v leftover variables, then the u
@@ -156,9 +149,9 @@ def lemma1_build(k: int, l: int,
     whose census matches lemma1_stats exactly (asserted here).
     """
     stats = lemma1_stats(k, l)
-    if stats.m > cap:
+    if stats.m > DEFAULT_CLAUSE_CAP:
         raise ConstructionSizeError(
-            f"k={k}, l={l} needs {stats.m} clauses (cap {cap})")
+            f"k={k}, l={l} needs {stats.m} clauses (cap {DEFAULT_CLAUSE_CAP})")
     formula = _step(k, k, l, complete_formula(range(1, k - l + 1)))
     _check(formula, stats, k)
     return formula, stats
@@ -192,8 +185,7 @@ def lemma2_stage_stats(k: int, l: int) -> List[ConstructionStats]:
     return stats
 
 
-def lemma2_build(k: int, l: int,
-                 cap: int = DEFAULT_CLAUSE_CAP) -> List[Tuple[Formula, ConstructionStats]]:
+def lemma2_build(k: int, l: int) -> List[Tuple[Formula, ConstructionStats]]:
     """Materialize all stages of the staged construction.
 
     Stage 0 is the complete formula on k-l variables; stage j is the step
@@ -204,10 +196,10 @@ def lemma2_build(k: int, l: int,
     `kcnf verify --solve`.
     """
     expected = lemma2_stage_stats(k, l)
-    if any(st.m > cap for st in expected):
-        worst = max(st.m for st in expected)
-        raise ConstructionSizeError(
-            f"k={k}, l={l} needs {worst} clauses in one stage (cap {cap})")
+    worst = max(st.m for st in expected)
+    if worst > DEFAULT_CLAUSE_CAP:
+        raise ConstructionSizeError(f"k={k}, l={l} needs {worst} clauses in "
+                                    f"one stage (cap {DEFAULT_CLAUSE_CAP})")
     s_bound = lemma2_occurrence_bound(k, l)
 
     stages = [(complete_formula(range(1, k - l + 1)), expected[0])]
@@ -230,7 +222,8 @@ def recommended_l(k: int, scheme: str) -> int:
     scheme 'lemma1': 2^l <= k * log2(e) / log2(k)^2, defined for k >= 4.
     scheme 'lemma2': 2^l <= log2(e) * k / (2 * log2(k)), defined for k >= 2.
     The reported l may be 0 even where a builder needs l >= 1; callers
-    decide how to handle that (the CLI falls back to l=1 with a note).
+    decide how to handle that (the CLI uses l=1, with a note, where the
+    builder takes it).
     """
     if scheme == "lemma1":
         if k < 4:

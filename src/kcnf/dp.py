@@ -579,8 +579,8 @@ def trace_clause_counts(trace: DerivTrace, k: int,
     return totals
 
 
-def materialize(trace: DerivTrace, k: int, s: int, mode: str = "restricted",
-                cap: int = DEFAULT_CLAUSE_CAP) -> Formula:
+def materialize(trace: DerivTrace, k: int, s: int,
+                mode: str = "restricted") -> Formula:
     """Execute a trace into an actual formula, checking it against the plan.
 
     Every reference expands to its own fresh-variable copy, which is what
@@ -594,9 +594,9 @@ def materialize(trace: DerivTrace, k: int, s: int, mode: str = "restricted",
             f"trace needs s >= {ann.required_s}, asked to build at s = {s}")
     totals = trace_clause_counts(trace, k, ann)
     final_total = totals[trace.final]
-    if final_total > cap:
-        raise MaterializeError(
-            f"expansion would produce {final_total} clauses (cap {cap})")
+    if final_total > DEFAULT_CLAUSE_CAP:
+        raise MaterializeError(f"expansion would produce {final_total} "
+                               f"clauses (cap {DEFAULT_CLAUSE_CAP})")
     alloc = VarAllocator()
     # post-order over references, left operand first, so that fresh ids
     # are drawn in one fixed order; iterative, since a valid trace can be

@@ -9,10 +9,11 @@ no literal 0, no tautological clause, set semantics everywhere.
 Where clauses come from outside a Formula, they are validated: the public
 Formula(...) constructor checks every clause through make_clause, and
 rename() checks its mapping (positive ids, injective) before it maps a
-literal. The closed operations on valid formulas -- union, product of
-variable-disjoint operands, K^- as K minus a clause, the width partition,
-and concatenations of parts that are themselves Formulas -- build their
-result with the private Formula._of, which trusts its clauses: a subset
+literal. The closed operations on valid formulas -- union of any number,
+product of variable-disjoint operands, K^- as K minus a clause, the width
+partition, and substitute (F' x G u F'', the step of both calculus rules
+and both constructions) -- build their result with the private
+Formula._of, used only in this module, which trusts its clauses: a subset
 or union of valid clauses is valid, and so is c1 | c2 when c1 and c2 share
 no variable. Checking them again would repeat the whole per-literal scan
 at every step of a construction.
@@ -26,7 +27,6 @@ from itertools import chain, compress
 from operator import neg
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
-Literal = int
 Clause = FrozenSet[int]
 Assignment = Dict[int, bool]
 
@@ -102,8 +102,8 @@ class Formula:
         """Clauses in the canonical (lexicographic) order."""
         return sorted(self.clauses, key=clause_sort_key)
 
-    def union(self, other: "Formula") -> "Formula":
-        return Formula._of(self.clauses | other.clauses)
+    def union(self, *others: "Formula") -> "Formula":
+        return Formula._of(self.clauses.union(*[f.clauses for f in others]))
 
     def widths(self) -> FrozenSet[int]:
         return frozenset(map(len, self.clauses))
@@ -254,3 +254,16 @@ def rename(f: Formula, mapping: Dict[int, int]) -> Formula:
     if len(out) != len(f):
         raise ValueError("renaming collapsed clauses")
     return out
+
+
+def substitute(incomplete: Formula, complete: Formula, guards: Formula,
+               alloc: Optional[VarAllocator] = None) -> Formula:
+    """incomplete x guards u complete. With alloc, both parts are first
+    renamed by one mapping, old ids ascending onto the allocator's next ids;
+    unlike fresh_copy, the allocator is not bumped past the old ids."""
+    if alloc is not None:
+        mapping = {v: alloc.fresh()
+                   for v in sorted(incomplete.vars | complete.vars)}
+        incomplete = rename(incomplete, mapping)
+        complete = rename(complete, mapping)
+    return product(incomplete, guards).union(complete)

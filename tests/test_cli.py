@@ -1,4 +1,5 @@
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -6,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from kcnf.calculus import serialize_trace
 from kcnf.cli import run
 from kcnf.constructions import bounds_csv_row, bounds_row
 from kcnf.dimacs import read_dimacs, write_dimacs
+from kcnf.dp import feasible
 from kcnf.formula import almost_complete_formula, complete_formula
 
 
@@ -52,6 +55,26 @@ class TestConstruct:
         assert code == 0
         assert "l=1" in text.splitlines()
         assert "note:" in err and "l = 1" in err
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_lemma2_default_l_stays_zero_where_one_fails(self, capsys, k):
+        # lemma2 takes l = 0, and its parameter condition rejects l = 1 here
+        code, text, err = invoke(capsys, "construct", "--method", "lemma2",
+                                 "--k", str(k), "--out", "-")
+        assert code == 0
+        assert "c l=0" in text.splitlines()
+        assert err == ""
+
+    @pytest.mark.parametrize("k", range(4, 9))
+    def test_lemma2_default_l_clamps_to_one(self, capsys, tmp_path, k):
+        out = tmp_path / "c.cnf"
+        runs = []
+        for extra in ([], ["--l", "1"]):
+            code, text, _ = invoke(capsys, "construct", "--method", "lemma2",
+                                   "--k", str(k), *extra, "--out", str(out))
+            assert code == 0
+            runs.append((text, out.read_bytes()))
+        assert runs[0] == runs[1]
 
     def test_compact_suppresses_stats(self, capsys, tmp_path):
         plain = tmp_path / "a.cnf"
@@ -164,6 +187,20 @@ class TestF2:
         code, _, _ = invoke(capsys, "verify", str(out), "--k", "4",
                             "--max-occ", "9", "--solve")
         assert code == 0
+
+    def test_emit_trace_to_stdout_pipes_into_materialize(self, capsys,
+                                                         monkeypatch):
+        code, text, err = invoke(capsys, "f2", "--k", "4", "--emit-trace", "-")
+        assert (code, err) == (0, "8\n")
+        assert text == serialize_trace(feasible(4, 9))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, piped, _ = invoke(capsys, "materialize", "--k", "4", "--s", "9",
+                                "--trace", "-", "--out", "-")
+        assert code == 0
+        code, direct, _ = invoke(capsys, "materialize", "--k", "4", "--s", "9",
+                                 "--out", "-")
+        assert code == 0
+        assert piped == direct
 
     def test_literal_mode_notes_on_stderr(self, capsys):
         code, text, err = invoke(capsys, "f2", "--k", "4", "--paper-literal")

@@ -68,7 +68,7 @@ class TestBlockConstruction:
 
     def test_cap(self):
         with pytest.raises(ConstructionSizeError):
-            lemma1_build(24, 24, cap=1000)
+            lemma1_build(24, 24)
 
 
 class TestStagedConstruction:
@@ -128,7 +128,7 @@ class TestStagedConstruction:
 
     def test_cap(self):
         with pytest.raises(ConstructionSizeError):
-            lemma2_build(40, 0, cap=1000)
+            lemma2_build(40, 0)
 
 
 class TestOneStep:

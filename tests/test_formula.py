@@ -16,6 +16,7 @@ from kcnf.formula import (
     occurrence_census,
     product,
     rename,
+    substitute,
     width_partition,
 )
 from kcnf.solver import enumerate_models
@@ -218,3 +219,49 @@ def test_census_matches_naive_count(clauses, k):
     got = (census.total, census.incomplete, census.complete,
            census.max_occurrence)
     assert got == _naive_census(f, k)
+
+
+def _clauses_over(pool):
+    return st.lists(
+        st.lists(st.sampled_from(pool), max_size=4, unique=True).flatmap(_signed),
+        max_size=8)
+
+
+# (guard ids, F', F'', G, allocator offset or None): F' and F'' draw on one
+# part of the pool and the guards G on the rest, so the product's operands
+# are disjoint
+substitution_st = st.lists(
+    st.integers(min_value=1, max_value=10 ** 4), min_size=2, max_size=12,
+    unique=True,
+).flatmap(lambda pool: st.integers(min_value=1, max_value=len(pool) - 1)
+          .flatmap(lambda cut: st.tuples(
+              st.just(pool[cut:]), _clauses_over(pool[:cut]),
+              _clauses_over(pool[:cut]), _clauses_over(pool[cut:]),
+              st.one_of(st.none(), st.integers(min_value=1, max_value=3)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(substitution_st)
+def test_substitute_matches_product_then_union(case):
+    guard_ids, inc, comp, guards, offset = case
+    incomplete, complete, g = Formula(inc), Formula(comp), Formula(guards)
+    if offset is None:
+        assert (substitute(incomplete, complete, g)
+                == product(incomplete, g).union(complete))
+        return
+    # new ids start just above the guard ids, which may lie below the old
+    # ids of F' and F'': substitute must not bump the allocator past those
+    start = max(guard_ids) + offset
+    alloc = VarAllocator(start)
+    got = substitute(incomplete, complete, g, alloc)
+    old = sorted(incomplete.vars | complete.vars)
+    mapping = dict(zip(old, range(start, start + len(old))))
+    assert got == product(rename(incomplete, mapping), g).union(
+        rename(complete, mapping))
+    assert alloc.next_id == start + len(old)
+
+
+def test_union_takes_any_number_of_formulas():
+    f, g, h = Formula([[1]]), Formula([[2], [1]]), Formula([[-3]])
+    assert f.union() == f
+    assert f.union(g, h) == Formula([[1], [2], [-3]])
