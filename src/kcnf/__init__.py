@@ -1,137 +1,12 @@
 """Tools for (k,s)-CNF: formulas where every clause has exactly k literals
-and no variable occurs in more than s clauses.
+and no variable occurs in more than s clauses. Each name is imported from
+its submodule; the package re-exports nothing.
 
-The package computes the exact feasibility frontier of a two-rule derivation
-calculus for unsatisfiable instances, materializes witness formulas, and
-provides two classic explicit constructions plus the standard lower bound
-for comparison tables.
+  formula        clauses, formulas, products, occurrence census, substitute
+  dimacs         canonical DIMACS writer and validating reader
+  solver         CDCL solver, model enumeration, instance verification
+  constructions  the two closed-form families and the local-lemma floor
+  calculus       split/compose, derivation traces and their annotation
+  dp             exact f2(k), witness traces, materialization, f2 tables
+  cli            the `kcnf` command line
 """
-
-from .formula import (
-    Clause,
-    Formula,
-    VarAllocator,
-    almost_complete_formula,
-    complete_formula,
-    fresh_copy,
-    make_clause,
-    occurrence_census,
-    product,
-    rename,
-    width_partition,
-)
-from .dimacs import DimacsError, read_dimacs, write_dimacs
-from .solver import (
-    SAT,
-    TIMEOUT,
-    UNSAT,
-    SolveResult,
-    VerifyReport,
-    enumerate_models,
-    satisfies,
-    solve,
-    verify_instance,
-)
-from .constructions import (
-    BoundsRow,
-    ConstructionStats,
-    bounds_row,
-    lemma1_build,
-    lemma1_stats,
-    lemma2_build,
-    lemma2_condition,
-    lemma2_stage_stats,
-    lll_lower_bound,
-    recommended_l,
-)
-from .calculus import (
-    CalculusError,
-    DerivTrace,
-    DerivedFormula,
-    TraceAnnotation,
-    TraceNode,
-    annotate_trace,
-    as_derived,
-    axiom,
-    compose,
-    compose_requirement,
-    parse_trace,
-    serialize_trace,
-    split,
-    split_requirement,
-)
-from .dp import (
-    F2Row,
-    MaterializeError,
-    f2_norm_string,
-    f2_row,
-    f2_table,
-    f2_value,
-    feasible,
-    materialize,
-    oracle_f2,
-    trace_clause_counts,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Clause",
-    "Formula",
-    "VarAllocator",
-    "almost_complete_formula",
-    "complete_formula",
-    "fresh_copy",
-    "make_clause",
-    "occurrence_census",
-    "product",
-    "rename",
-    "width_partition",
-    "DimacsError",
-    "read_dimacs",
-    "write_dimacs",
-    "SAT",
-    "TIMEOUT",
-    "UNSAT",
-    "SolveResult",
-    "VerifyReport",
-    "enumerate_models",
-    "satisfies",
-    "solve",
-    "verify_instance",
-    "BoundsRow",
-    "ConstructionStats",
-    "bounds_row",
-    "lemma1_build",
-    "lemma1_stats",
-    "lemma2_build",
-    "lemma2_condition",
-    "lemma2_stage_stats",
-    "lll_lower_bound",
-    "recommended_l",
-    "CalculusError",
-    "DerivTrace",
-    "DerivedFormula",
-    "TraceAnnotation",
-    "TraceNode",
-    "annotate_trace",
-    "as_derived",
-    "axiom",
-    "compose",
-    "compose_requirement",
-    "parse_trace",
-    "serialize_trace",
-    "split",
-    "split_requirement",
-    "F2Row",
-    "MaterializeError",
-    "f2_norm_string",
-    "f2_row",
-    "f2_table",
-    "f2_value",
-    "feasible",
-    "materialize",
-    "oracle_f2",
-    "trace_clause_counts",
-    "__version__",
-]

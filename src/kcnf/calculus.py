@@ -150,7 +150,7 @@ def compose(df1: DerivedFormula, df2: DerivedFormula, s: int,
     first on df1's own variables). Every fresh block variable ends up in
     exactly (2^d - 1)|F1'| + |F2'| clauses, which must be within s.
     """
-    df1, df2 = _check_compose_operands(df1, df2)
+    _check_compose_operands(df1, df2)
     k = df1.k
     need = compose_requirement(k, df1.width, df2.width, df1.size, df2.size)
     if need > s:
@@ -167,8 +167,7 @@ def compose(df1: DerivedFormula, df2: DerivedFormula, s: int,
     return as_derived(result, k)
 
 
-def _check_compose_operands(df1: DerivedFormula,
-                            df2: DerivedFormula) -> Tuple[DerivedFormula, DerivedFormula]:
+def _check_compose_operands(df1: DerivedFormula, df2: DerivedFormula) -> None:
     if df1.k != df2.k:
         raise CalculusError(f"mixed k: {df1.k} vs {df2.k}")
     if df1.is_final or df2.is_final:
@@ -179,7 +178,6 @@ def _check_compose_operands(df1: DerivedFormula,
             f"got {df1.width} > {df2.width}")
     if df1.formula.vars & df2.formula.vars:
         raise CalculusError("compose operands share variables")
-    return df1, df2
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +267,7 @@ class NodeInfo:
     width: int
     size: int          # |F'| after the step; 0 once width reaches k
     requirement: int   # occurrence load this step puts on its fresh variables
+    clauses: int       # clauses the node expands to, one copy per reference
 
 
 @dataclass(frozen=True)
@@ -279,7 +278,8 @@ class TraceAnnotation:
 
 def annotate_trace(trace: DerivTrace, k: int,
                    mode: str = "restricted") -> TraceAnnotation:
-    """Recompute (width, |F'|) bottom-up and validate every side condition.
+    """Recompute (width, |F'|, clause total) bottom-up and validate every
+    side condition.
 
     This is pure arithmetic on the summaries; nothing is materialized, so
     annotating is cheap even when the sizes are astronomical. The final
@@ -292,13 +292,13 @@ def annotate_trace(trace: DerivTrace, k: int,
     infos: List[NodeInfo] = []
     for i, node in enumerate(trace.nodes):
         if node.op == OP_AXIOM:
-            infos.append(NodeInfo(width=0, size=1, requirement=0))
+            infos.append(NodeInfo(width=0, size=1, requirement=0, clauses=1))
         elif node.op == OP_SPLIT:
-            child = trace.nodes[node.args[0]]
-            cw, cm = infos[node.args[0]].width, infos[node.args[0]].size
+            (c,) = node.args
+            cw, cm = infos[c].width, infos[c].size
             if cw >= k:
                 raise CalculusError(f"node {i}: splitting a finished node")
-            if mode == "restricted" and child.op == OP_COMPOSE:
+            if mode == "restricted" and trace.nodes[c].op == OP_COMPOSE:
                 raise CalculusError(
                     f"node {i}: restricted split of a composed node")
             w = cw + 1
@@ -306,6 +306,7 @@ def annotate_trace(trace: DerivTrace, k: int,
                 width=w,
                 size=0 if w == k else 2 * cm,
                 requirement=2 * cm,
+                clauses=infos[c].clauses + cm,
             ))
         else:
             a1, a2 = node.args
@@ -319,10 +320,12 @@ def annotate_trace(trace: DerivTrace, k: int,
                     f"got {w1} > {w2}")
             d = k - w2
             w = w1 + d
+            copies = 2 ** d - 1
             infos.append(NodeInfo(
                 width=w,
-                size=0 if w == k else (2 ** d - 1) * m1,
-                requirement=(2 ** d - 1) * m1 + m2,
+                size=0 if w == k else copies * m1,
+                requirement=copies * m1 + m2,
+                clauses=copies * infos[a1].clauses + infos[a2].clauses,
             ))
     if infos[trace.final].width != k:
         raise CalculusError(

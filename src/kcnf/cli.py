@@ -8,13 +8,16 @@ stream stays one well-formed document.
 
 Exit codes: 0 success or property verified; 1 property violated (a check
 that came back false, a missing derivation, a solver SAT or timeout where
-unsatisfiability was claimed); 2 usage or I/O errors.
+unsatisfiability was claimed), or standard output closed by its reader
+before the output was all written, which prints nothing; 2 usage or I/O
+errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from typing import (ContextManager, Iterable, List, Optional, Sequence,
                     TextIO, Tuple)
@@ -273,6 +276,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader stopped early; point stdout at devnull, where it has a
+        # descriptor, so that the flush at exit stays silent
+        with contextlib.suppress(AttributeError, OSError):
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_VIOLATION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

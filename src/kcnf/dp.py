@@ -70,7 +70,6 @@ from .calculus import (
     OP_AXIOM,
     OP_COMPOSE,
     OP_SPLIT,
-    TraceAnnotation,
     TraceNode,
     annotate_trace,
     axiom,
@@ -98,9 +97,6 @@ class _Piece:
         self.req = req
         self.how = how          # ("axiom",) | ("chain",) | ("compose", a, b)
                                 # | ("split", a) in literal mode
-
-    def __repr__(self):
-        return f"_Piece(w={self.width}, m={self.size}, r={self.req})"
 
 
 def _frontier_threshold(k: int, literal: bool = False,
@@ -560,40 +556,21 @@ def _trace_from_piece(root: _Piece) -> DerivTrace:
 # materialization
 
 
-def trace_clause_counts(trace: DerivTrace, k: int,
-                        ann: Optional[TraceAnnotation] = None) -> List[int]:
-    """Total clause count each node expands to (per-reference copies)."""
-    if ann is None:
-        ann = annotate_trace(trace, k, mode="literal")
-    totals: List[int] = []
-    for i, node in enumerate(trace.nodes):
-        if node.op == OP_AXIOM:
-            totals.append(1)
-        elif node.op == OP_SPLIT:
-            child = node.args[0]
-            totals.append(totals[child] + ann.nodes[child].size)
-        else:
-            a, b = node.args
-            d = k - ann.nodes[b].width
-            totals.append((2 ** d - 1) * totals[a] + totals[b])
-    return totals
-
-
 def materialize(trace: DerivTrace, k: int, s: int,
                 mode: str = "restricted") -> Formula:
     """Execute a trace into an actual formula, checking it against the plan.
 
     Every reference expands to its own fresh-variable copy, which is what
     the compose rule's occurrence accounting assumes. After each step the
-    realized |F'| must equal the annotated size; at the end the formula
-    must be width-uniform at k with no variable above s occurrences.
+    realized |F'| and clause count must equal the annotated ones; at the
+    end the formula must be width-uniform at k with no variable above s
+    occurrences.
     """
     ann = annotate_trace(trace, k, mode=mode)
     if ann.required_s > s:
         raise MaterializeError(
             f"trace needs s >= {ann.required_s}, asked to build at s = {s}")
-    totals = trace_clause_counts(trace, k, ann)
-    final_total = totals[trace.final]
+    final_total = ann.nodes[trace.final].clauses
     if final_total > DEFAULT_CLAUSE_CAP:
         raise MaterializeError(f"expansion would produce {final_total} "
                                f"clauses (cap {DEFAULT_CLAUSE_CAP})")
@@ -617,18 +594,18 @@ def materialize(trace: DerivTrace, k: int, s: int,
         else:
             right = built.pop()
             df = compose(built.pop(), right, s, alloc=alloc)
-        if df.size != ann.nodes[i].size:
+        info = ann.nodes[i]
+        if df.size != info.size:
             raise MaterializeError(
                 f"node {i} realized |F'| = {df.size}, annotation says "
-                f"{ann.nodes[i].size}")
+                f"{info.size}")
+        if len(df.formula) != info.clauses:
+            raise MaterializeError(
+                f"node {i} realized {len(df.formula)} clauses, annotation "
+                f"says {info.clauses}")
         built.append(df)
+    # annotate_trace put the final node at width k, so its |F'| is 0
     result = built.pop()
-    if not result.is_final:
-        raise MaterializeError("trace did not finish at width k")
-    if len(result.formula) != final_total:
-        raise MaterializeError(
-            f"expansion produced {len(result.formula)} clauses, expected "
-            f"{final_total}")
     census = occurrence_census(result.formula, k)
     if census.max_occurrence > s:
         raise MaterializeError(
@@ -702,14 +679,6 @@ def f2_norm_string(f2: int, k: int) -> str:
     return str(q)
 
 
-def f2_row(k: int, literal: bool = False) -> F2Row:
-    return _f2_row(k, f2_value(k, literal))
-
-
-def _f2_row(k: int, f2: int) -> F2Row:
-    return F2Row(k=k, f2=f2, f2_norm=f2_norm_string(f2, k))
-
-
 def f2_csv_row(row: F2Row) -> str:
     return ",".join([
         str(row.k),
@@ -719,12 +688,12 @@ def f2_csv_row(row: F2Row) -> str:
     ])
 
 
-def _f2_rows(k_from: int, k_to: int, literal: bool) -> Iterator[F2Row]:
+def _f2_rows(k_from: int, k_to: int) -> Iterator[F2Row]:
     guess = None
     for k in range(k_from, k_to + 1):
-        t = _threshold_search(k, literal, guess)
+        t = _threshold_search(k, guess=guess)
         guess = 2 * t
-        yield _f2_row(k, t - 1)
+        yield F2Row(k=k, f2=t - 1, f2_norm=f2_norm_string(t - 1, k))
 
 
 # consecutive k per pool task: the search guesses T(k) as 2 T(k - 1), so
@@ -732,21 +701,20 @@ def _f2_rows(k_from: int, k_to: int, literal: bool) -> Iterator[F2Row]:
 _TABLE_CHUNK = 16
 
 
-def _f2_chunk(args: Tuple[int, int, bool]) -> List[F2Row]:
+def _f2_chunk(args: Tuple[int, int]) -> List[F2Row]:
     return list(_f2_rows(*args))
 
 
-def f2_table(k_from: int, k_to: int, literal: bool = False,
-             jobs: int = 1) -> Iterator[F2Row]:
+def f2_table(k_from: int, k_to: int, jobs: int = 1) -> Iterator[F2Row]:
     """Stream rows for k_from..k_to; jobs > 1 fans out across processes."""
     if k_from < 1 or k_to < k_from:
         raise ValueError("need 1 <= k_from <= k_to")
     if jobs <= 1:
-        yield from _f2_rows(k_from, k_to, literal)
+        yield from _f2_rows(k_from, k_to)
         return
     import multiprocessing
 
-    chunks = [(a, min(a + _TABLE_CHUNK - 1, k_to), literal)
+    chunks = [(a, min(a + _TABLE_CHUNK - 1, k_to))
               for a in range(k_from, k_to + 1, _TABLE_CHUNK)]
     with multiprocessing.Pool(jobs) as pool:
         for rows in pool.imap(_f2_chunk, chunks):

@@ -2,7 +2,9 @@
 
 The harness compares traces, CSVs and DIMACS files against recorded
 digests, so a byte change anywhere in them fails here as well as in the
-benchmark run.
+benchmark run. Each workload also runs traced, with the per-layer tracer
+wrapping the kcnf functions it names, so that a renamed or deleted one
+fails here too.
 """
 
 import json
@@ -17,11 +19,14 @@ WORKLOADS = [w["name"] for w in
              json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_tiny_workload_is_correct(workload):
+@pytest.mark.parametrize("workload, trace", [
+    param for w in WORKLOADS
+    for param in (pytest.param(w, "0", id=w),
+                  pytest.param(w, "1", id=f"{w}-traced"))])
+def test_tiny_workload_is_correct(workload, trace):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", "1", "--seconds", "0.5", "--trace", "0", "--size", "tiny"],
+         "--seed", "1", "--seconds", "0.5", "--trace", trace, "--size", "tiny"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])

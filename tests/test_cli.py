@@ -379,6 +379,30 @@ class TestPlumbing:
                               capture_output=True, cwd=tmp_path, env=env)
         assert (proc.returncode, proc.stdout) == (0, b"14\n")
 
+    def test_closed_stdout_exits_one_quietly(self, tmp_path):
+        # a reader that stops early, like `| head -1`, is no usage error
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "kcnf", "f2-table", "--k-from", "1",
+             "--k-to", "200", "--out", "-"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path,
+            env=env)
+        assert proc.stdout.readline() == b"k,f2,f2_norm,line_a,line_b,line_d\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (1, b"")
+
+    def test_closed_stdout_without_descriptor(self, capsys, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert run(["f2", "--k", "3"]) == 1
+        assert capsys.readouterr().err == ""
+
     def test_console_script_entry(self):
         proc = subprocess.run([sys.executable, "-m", "kcnf.cli"],
                               capture_output=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import heapq
 import types
@@ -28,13 +29,11 @@ from kcnf.dp import (
     MaterializeError,
     f2_csv_row,
     f2_norm_string,
-    f2_row,
     f2_table,
     f2_value,
     feasible,
     materialize,
     oracle_f2,
-    trace_clause_counts,
 )
 from kcnf.formula import occurrence_census
 from kcnf.solver import UNSAT, solve
@@ -317,7 +316,7 @@ class TestFeasible:
 class TestTraceClauseCounts:
     def test_chain_doubles(self):
         tr = feasible(3, 8)
-        assert trace_clause_counts(tr, 3) == [1, 2, 4, 8]
+        assert [n.clauses for n in annotate_trace(tr, 3).nodes] == [1, 2, 4, 8]
 
     def test_shared_nodes_counted_per_reference(self):
         # compose a width-1 piece with itself at k=2: d=1, so the final
@@ -327,7 +326,7 @@ class TestTraceClauseCounts:
             TraceNode(OP_SPLIT, (0,)),
             TraceNode(OP_COMPOSE, (1, 1)),
         ), 2)
-        assert trace_clause_counts(tr, 2) == [1, 2, 4]
+        assert [n.clauses for n in annotate_trace(tr, 2).nodes] == [1, 2, 4]
 
 
 class TestMaterialize:
@@ -352,7 +351,19 @@ class TestMaterialize:
         k, s = 4, f2_value(4) + 1
         tr = feasible(k, s)
         formula = materialize(tr, k, s)
-        assert len(formula) == trace_clause_counts(tr, k)[tr.final]
+        assert len(formula) == annotate_trace(tr, k).nodes[tr.final].clauses
+
+    def test_clause_count_checked_at_every_node(self, monkeypatch):
+        k, s = 3, 5
+        tr = feasible(k, s)
+        ann = annotate_trace(tr, k)
+        nodes = list(ann.nodes)
+        nodes[3] = dataclasses.replace(nodes[3], clauses=nodes[3].clauses + 1)
+        wrong = dataclasses.replace(ann, nodes=tuple(nodes))
+        monkeypatch.setattr(kcnf.dp, "annotate_trace", lambda *a, **kw: wrong)
+        with pytest.raises(MaterializeError,
+                           match="node 3 realized 4 clauses, annotation says 5"):
+            materialize(tr, k, s)
 
     def test_self_pair_expands_disjoint_copies(self):
         tr = DerivTrace((
@@ -406,8 +417,9 @@ class TestTable:
 
     def test_csv_row_format(self):
         assert F2_CSV_HEADER == "k,f2,f2_norm,line_a,line_b,line_d"
-        assert f2_csv_row(f2_row(7)) == "7,44,2.40625,0.367879,15.5673,1.63368"
-        assert f2_csv_row(f2_row(1)) == "1,1,0.5,0.367879,0,0.23"
+        assert (f2_csv_row(next(f2_table(7, 7)))
+                == "7,44,2.40625,0.367879,15.5673,1.63368")
+        assert f2_csv_row(next(f2_table(1, 1))) == "1,1,0.5,0.367879,0,0.23"
 
     def test_table_streams_rows_in_order(self):
         rows = list(f2_table(1, 8))
