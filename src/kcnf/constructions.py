@@ -27,7 +27,6 @@ from .formula import (
     VarAllocator,
     almost_complete_formula,
     complete_formula,
-    occurrence_census,
     product,
     substitute,
     width_partition,
@@ -113,13 +112,12 @@ def _step(k: int, kj: int, d: int, prev: Formula) -> Formula:
 
 def _check(formula: Formula, st: ConstructionStats, kj: int) -> None:
     """Assert st's exact counts, and width kj for every clause below st.k."""
-    census = occurrence_census(formula, st.k)
+    part = width_partition(formula, st.k)
     assert len(formula) == st.m, "clause collision in construction"
     assert len(formula.vars) == st.n
-    assert census.max_occurrence == st.max_occurrence
-    inc_part = width_partition(formula, st.k).incomplete
-    assert len(inc_part) == st.incomplete_size
-    assert inc_part.is_width_uniform(kj)
+    assert part.census().max_occurrence == st.max_occurrence
+    assert len(part.incomplete) == st.incomplete_size
+    assert part.incomplete.is_width_uniform(kj)
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,10 @@ class WidthPartition:
     incomplete: Formula
     complete: Formula
 
+    def census(self) -> "OccurrenceCensus":
+        """occurrence_census(f, k) of the partitioned f, from this split."""
+        return _census(self.incomplete.clauses, self.complete.clauses)
+
 
 def _split_at(f: Formula, k: int) -> Tuple[List[Clause], List[Clause]]:
     """Clauses of width < k and of width == k; wider is an error."""
@@ -192,7 +196,10 @@ class OccurrenceCensus:
 
 def occurrence_census(f: Formula, k: int) -> OccurrenceCensus:
     """Count clause memberships per variable (each clause counts once)."""
-    narrow, full = _split_at(f, k)
+    return _census(*_split_at(f, k))
+
+
+def _census(narrow: Iterable[Clause], full: Iterable[Clause]) -> OccurrenceCensus:
     incomplete = Counter(map(abs, chain.from_iterable(narrow)))
     complete = Counter(map(abs, chain.from_iterable(full)))
     total = incomplete + complete

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .formula import Assignment, Formula, occurrence_census
 
@@ -34,6 +34,7 @@ class SolveResult:
     witness: Optional[Assignment]
     decisions: int
     propagations: int
+    conflicts: int   # conflicts analyzed, one learned clause each
 
 
 def solve(f: Formula, budget: int = DEFAULT_BUDGET) -> SolveResult:
@@ -54,18 +55,24 @@ def solve(f: Formula, budget: int = DEFAULT_BUDGET) -> SolveResult:
     and a conflict reports the highest all-false clause index, which pins
     the propagation order. Each variable counts its open clauses; a clause
     closes when it gains its first true literal and reopens when backjumping
-    takes that literal back. Decisions come off a heap ordered by the
-    decision key and rebuilt after each backjump, so a decision costs a few
-    heap steps rather than a pass over every variable's clauses.
+    takes that literal back. Clauses over one variable set form a class,
+    which numbers its clauses as bits of an int: one mask of its open
+    clauses and one per literal of the clauses holding it. A true literal
+    closes the open clauses holding it in each class of its variable with
+    one AND, and moves the count of every class variable by the popcount;
+    backjump ORs the masks back. Learned clauses join the class of their
+    variable set. Decisions come off a heap ordered by the decision key and
+    rebuilt after each backjump, so a decision costs a few heap steps rather
+    than a pass over every variable's clauses.
 
     The witness for SAT is a total assignment over f.vars, with any
     unconstrained variable set True. budget caps the number of decisions;
     exceeding it yields TIMEOUT, never a wrong SAT/UNSAT answer.
     """
     if not f.clauses:
-        return SolveResult(SAT, {}, 0, 0)
+        return SolveResult(SAT, {}, 0, 0, 0)
     if frozenset() in f.clauses:
-        return SolveResult(UNSAT, None, 0, 0)
+        return SolveResult(UNSAT, None, 0, 0, 0)
 
     # variable i is variables[i]; its literals are 2i (positive) and 2i + 1
     variables = sorted(f.vars)
@@ -74,12 +81,16 @@ def solve(f: Formula, budget: int = DEFAULT_BUDGET) -> SolveResult:
     clauses: List[List[int]] = []    # literals in formula order
     watched: List[List[int]] = []    # the same, the two watches first
     watches: List[List[int]] = [[] for _ in range(2 * n)]   # per literal
-    occ: List[List[int]] = [[] for _ in range(2 * n)]   # clauses per literal
     # a clause is open until it gains a true literal; the var that closed it
     # reopens it on backjump
-    closed: List[bool] = []
     open_count = [0] * n    # open clauses holding each variable
-    closed_by: List[List[int]] = [[] for _ in range(n)]
+    class_of: Dict[Tuple[int, ...], int] = {}   # sorted variables -> class
+    class_vars: List[Tuple[int, ...]] = []
+    class_size: List[int] = []   # clauses numbered so far in each class
+    class_open: List[int] = []   # bit i: the class's clause i is open
+    holds: List[Dict[int, int]] = [{} for _ in range(2 * n)]   # class -> mask
+    # per var, the (class, mask, popcount) of the clauses it closed
+    closed_by: List[List[Tuple[int, int, int]]] = [[] for _ in range(n)]
     value = [0] * (2 * n)   # per literal: 1 true, -1 false, 0 unassigned
     level = [0] * n
     reason: List[Optional[int]] = [None] * n
@@ -89,6 +100,7 @@ def solve(f: Formula, budget: int = DEFAULT_BUDGET) -> SolveResult:
     act_inc = 1.0
     n_decisions = 0
     n_propagations = 0
+    n_conflicts = 0
     # decision order: a heap of (-activity, -open count, var), rebuilt
     # after each backjump
     order: List[Tuple[float, int, int]] = []
@@ -104,10 +116,21 @@ def solve(f: Formula, budget: int = DEFAULT_BUDGET) -> SolveResult:
         watches[watch[0]].append(ci)
         if len(lits) > 1:
             watches[watch[1]].append(ci)
-        closed.append(False)
+        key = tuple(sorted(lit >> 1 for lit in lits))
+        c = class_of.get(key)
+        if c is None:
+            c = class_of[key] = len(class_vars)
+            class_vars.append(key)
+            class_size.append(0)
+            class_open.append(0)
+        bit = 1 << class_size[c]
+        class_size[c] += 1
+        class_open[c] |= bit
         for lit in lits:
-            occ[lit].append(ci)
-            open_count[lit >> 1] += 1
+            masks = holds[lit]
+            masks[c] = masks.get(c, 0) | bit
+        for u in key:
+            open_count[u] += 1
         return ci
 
     for c in f.clauses:
@@ -124,12 +147,14 @@ def solve(f: Formula, budget: int = DEFAULT_BUDGET) -> SolveResult:
         reason[v] = why
         trail.append(v)
         newly = closed_by[v] = []
-        for ci in occ[lit]:
-            if not closed[ci]:
-                closed[ci] = True
-                newly.append(ci)
-                for other in clauses[ci]:
-                    open_count[other >> 1] -= 1
+        for c, mask in holds[lit].items():
+            shut = class_open[c] & mask
+            if shut:
+                class_open[c] ^= shut
+                drop = shut.bit_count()
+                newly.append((c, shut, drop))
+                for u in class_vars[c]:
+                    open_count[u] -= drop
         units: List[int] = []
         conflict = -1
         kept: List[int] = []
@@ -171,10 +196,10 @@ def solve(f: Formula, budget: int = DEFAULT_BUDGET) -> SolveResult:
         while len(trail) > mark:
             v = trail.pop()
             value[2 * v] = value[2 * v + 1] = 0
-            for ci in closed_by[v]:
-                closed[ci] = False
-                for lit in clauses[ci]:
-                    open_count[lit >> 1] += 1
+            for c, shut, drop in closed_by[v]:
+                class_open[c] |= shut
+                for u in class_vars[c]:
+                    open_count[u] += drop
 
     def propagate(lit: int, why: Optional[int]) -> Optional[int]:
         """Make lit true, run unit propagation; return a conflict clause id."""
@@ -259,10 +284,11 @@ def solve(f: Formula, budget: int = DEFAULT_BUDGET) -> SolveResult:
 
     def resolve_conflict(conflict: Optional[int]) -> bool:
         """Learn and backjump until propagation settles; False means UNSAT."""
-        nonlocal act_inc
+        nonlocal act_inc, n_conflicts
         while conflict is not None:
             if not trail_lim:
                 return False
+            n_conflicts += 1
             learned, back = analyze(conflict)
             backjump(back)
             act_inc /= 0.95
@@ -275,7 +301,7 @@ def solve(f: Formula, budget: int = DEFAULT_BUDGET) -> SolveResult:
     for ci, lits in enumerate(clauses):
         if len(lits) == 1 and not value[lits[0]]:
             if propagate(lits[0], ci) is not None:
-                return SolveResult(UNSAT, None, 0, n_propagations)
+                return SolveResult(UNSAT, None, 0, n_propagations, 0)
 
     while True:
         v = next_decision()
@@ -283,13 +309,16 @@ def solve(f: Formula, budget: int = DEFAULT_BUDGET) -> SolveResult:
             # every clause satisfied; conflicts fire during propagation, so
             # no unsatisfied clause can be fully assigned here
             witness = {u: value[2 * i] >= 0 for i, u in enumerate(variables)}
-            return SolveResult(SAT, witness, n_decisions, n_propagations)
+            return SolveResult(SAT, witness, n_decisions, n_propagations,
+                               n_conflicts)
         if n_decisions >= budget:
-            return SolveResult(TIMEOUT, None, n_decisions, n_propagations)
+            return SolveResult(TIMEOUT, None, n_decisions, n_propagations,
+                               n_conflicts)
         n_decisions += 1
         trail_lim.append(len(trail))
         if not resolve_conflict(propagate(2 * v, None)):
-            return SolveResult(UNSAT, None, n_decisions, n_propagations)
+            return SolveResult(UNSAT, None, n_decisions, n_propagations,
+                               n_conflicts)
 
 
 def satisfies(f: Formula, assignment: Assignment) -> bool:
@@ -344,6 +373,7 @@ class VerifyReport:
     witness: Optional[Assignment] = None
     decisions: int = 0
     propagations: int = 0
+    conflicts: int = 0
 
     @property
     def ok(self) -> bool:
@@ -398,4 +428,5 @@ def verify_instance(f: Formula, k: int, s: Optional[int] = None,
         report.witness = res.witness
         report.decisions = res.decisions
         report.propagations = res.propagations
+        report.conflicts = res.conflicts
     return report

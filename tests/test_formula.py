@@ -149,6 +149,7 @@ def test_occurrence_census_split():
     assert census.incomplete == {1: 2, 2: 1}
     assert census.complete == {1: 1, 2: 1, 3: 1}
     assert census.max_occurrence == 3
+    assert width_partition(f, 3).census() == census
 
 
 def test_fresh_copy_is_disjoint_isomorph():

@@ -108,32 +108,105 @@ def _witness5_minus_first_clause():
     return Formula(w5.clauses - {w5.canonical_clauses()[0]})
 
 
-# (status, decisions, propagations) of the unrelabelled inputs; a change to
-# the solver's data structures must leave the search itself alone
+# (status, decisions, propagations, conflicts) of the unrelabelled inputs;
+# a change to the solver's data structures must leave the search itself alone
 PINNED_SEARCH = [
-    ("witness k=2 s=3", lambda: _witness(2), UNSAT, 1, 7),
-    ("witness k=3 s=5", lambda: _witness(3), UNSAT, 16, 26),
-    ("witness k=4 s=9", lambda: _witness(4), UNSAT, 70, 87),
-    ("witness k=5 s=15", lambda: _witness(5), UNSAT, 898, 292),
-    ("witness k=6 s=27", lambda: _witness(6), UNSAT, 20403, 1558),
-    ("lemma1 k=11 l=3", lambda: lemma1_build(11, 3)[0], UNSAT, 1105, 2463),
-    ("lemma2 k=9 l=1", lambda: lemma2_build(9, 1)[-1][0], UNSAT, 1179, 2312),
-    ("witness k=5 minus a clause", _witness5_minus_first_clause, SAT, 323, 113),
+    ("witness k=2 s=3", lambda: _witness(2), UNSAT, 1, 7, 1),
+    ("witness k=3 s=5", lambda: _witness(3), UNSAT, 16, 26, 9),
+    ("witness k=4 s=9", lambda: _witness(4), UNSAT, 70, 87, 35),
+    ("witness k=5 s=15", lambda: _witness(5), UNSAT, 898, 292, 116),
+    ("witness k=6 s=27", lambda: _witness(6), UNSAT, 20403, 1558, 701),
+    ("witness k=7 s=45", lambda: _witness(7), UNSAT, 106479, 12581, 5500),
+    ("lemma1 k=11 l=3", lambda: lemma1_build(11, 3)[0], UNSAT, 1105, 2463, 1105),
+    ("lemma2 k=9 l=1", lambda: lemma2_build(9, 1)[-1][0], UNSAT, 1179, 2312, 1151),
+    ("witness k=5 minus a clause", _witness5_minus_first_clause, SAT, 323, 113, 41),
 ]
 
 
-@pytest.mark.parametrize("build, status, decisions, propagations",
+@pytest.mark.parametrize("build, status, decisions, propagations, conflicts",
                          [case[1:] for case in PINNED_SEARCH],
                          ids=[case[0] for case in PINNED_SEARCH])
-def test_pinned_search(build, status, decisions, propagations):
+def test_pinned_search(build, status, decisions, propagations, conflicts):
     f = build()
     res = solve(f)
-    assert (res.status, res.decisions, res.propagations) == (
-        status, decisions, propagations)
+    assert (res.status, res.decisions, res.propagations, res.conflicts) == (
+        status, decisions, propagations, conflicts)
     if status == SAT:
         false_vars = {1, 2, 3, 4, 5, 67}
         assert res.witness == {v: v not in false_vars for v in range(1, 135)}
         assert satisfies(f, res.witness)
+
+
+def _random_clause(rng, n, widths):
+    vs = rng.sample(range(1, n + 1), rng.randint(*widths))
+    return [v if rng.random() < 0.5 else -v for v in vs]
+
+
+def _random_formulas():
+    """24 formulas of 1-40 vars and widths 1-6, then 6 near-threshold 3-CNF."""
+    rng = random.Random(3)
+    out = []
+    for _ in range(24):
+        n = rng.randint(1, 40)
+        lo = rng.randint(1, min(6, n))
+        hi = rng.randint(lo, min(6, n))
+        m = rng.randint(1, n << lo)
+        out.append(Formula(_random_clause(rng, n, (lo, hi)) for _ in range(m)))
+    for _ in range(6):
+        n = rng.randint(30, 40)
+        out.append(Formula(_random_clause(rng, n, (3, 3))
+                           for _ in range(round(4.26 * n))))
+    return out
+
+
+# (status, decisions, propagations, conflicts, witness as 0/1 over sorted
+# vars) of _random_formulas(), in order; small formulas put learned clauses
+# into the class of an original clause and leave many one-clause classes
+PINNED_RANDOM = [
+    (UNSAT, 124, 612, 114, None),
+    (UNSAT, 17, 179, 15, None),
+    (SAT, 3, 6, 0, "101011111"),
+    (SAT, 11, 18, 0, "1110011101111101111111001110110"),
+    (SAT, 5, 4, 0, "1111111111011"),
+    (SAT, 5, 1, 0, "111111"),
+    (UNSAT, 2725, 23719, 2582, None),
+    (SAT, 1, 7, 0, "111111010"),
+    (SAT, 2, 10, 0, "110011111110101"),
+    (UNSAT, 58, 196, 57, None),
+    (SAT, 18, 50, 5, "111011111010111000001111001111101"),
+    (SAT, 16, 10, 1, "1110111111111001100011101"),
+    (SAT, 5, 32, 0, "1010111101100101110101110001110010001011"),
+    (SAT, 3, 2, 0, "11111011111"),
+    (SAT, 7, 10, 2, "1001010011"),
+    (SAT, 6, 40, 3, "010100100001011001011100"),
+    (SAT, 3, 5, 0, "11111101"),
+    (SAT, 23, 5, 0, "111111111111111111111011011111111011111"),
+    (SAT, 9, 19, 3, "1011100110101"),
+    (SAT, 9, 13, 0, "101110011111111110111111111111111"),
+    (SAT, 10, 42, 3, "110010101000110110100110001"),
+    (UNSAT, 17, 193, 15, None),
+    (UNSAT, 521, 3414, 500, None),
+    (SAT, 45, 359, 32, "01111110101110001010001111111111"),
+    (SAT, 40, 406, 32, "0000001011010111001111110011000100010"),
+    (UNSAT, 11, 105, 11, None),
+    (UNSAT, 34, 397, 30, None),
+    (UNSAT, 36, 462, 32, None),
+    (UNSAT, 19, 135, 14, None),
+    (SAT, 9, 25, 0, "10110111001011100100111110110101111111"),
+]
+
+
+def test_pinned_random_search():
+    formulas = _random_formulas()
+    assert len(formulas) == len(PINNED_RANDOM)
+    for i, (f, pin) in enumerate(zip(formulas, PINNED_RANDOM)):
+        res = solve(f)
+        witness = None if res.witness is None else "".join(
+            "01"[res.witness[v]] for v in sorted(f.vars))
+        assert (res.status, res.decisions, res.propagations, res.conflicts,
+                witness) == pin, f"formula {i}"
+        if res.status == SAT:
+            assert satisfies(f, res.witness)
 
 
 def test_enumerate_models_cap():
@@ -157,6 +230,7 @@ def test_verify_instance_uniform_unsat():
     rep = verify_instance(f, 3, s=8, run_solver=True)
     assert rep.width_uniform and rep.occ_ok and rep.status == UNSAT
     assert rep.n == 3 and rep.m == 8 and rep.max_occurrence == 8
+    assert (rep.decisions, rep.propagations, rep.conflicts) == (3, 7, 3)
     assert rep.ok
 
 
