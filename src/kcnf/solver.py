@@ -1,12 +1,13 @@
 """Satisfiability checking: a deterministic CDCL and brute-force enumeration.
 
 The solver exists to certify unsatisfiability of constructed formulas, not
-to compete on speed. It learns first-UIP clauses and finds units and
-conflicts through two watched literals per clause. Decisions follow a
-pinned order (conflict activity, then open clauses, then ascending
-variable id, True first) and propagation takes units in a pinned order, so
-the search, its counters and any SAT witness are reproducible; a decision
-budget turns pathological inputs into TIMEOUT instead of a hang.
+to compete on speed. It learns first-UIP clauses and groups clauses into
+classes over one variable set; a count of each class's unassigned variables
+finds the units and conflicts among its clauses. Decisions follow a pinned
+order (conflict activity, then open clauses, then ascending variable id,
+True first) and propagation takes units in a pinned order, so the search,
+its counters and any SAT witness are reproducible; a decision budget turns
+pathological inputs into TIMEOUT instead of a hang.
 """
 
 from __future__ import annotations
@@ -49,21 +50,26 @@ def solve(f: Formula, budget: int = DEFAULT_BUDGET) -> SolveResult:
     for exponential stretches. First-UIP learning with backjumping makes
     each conflict prune that wandering for good.
 
-    Each clause watches two of its literals (a unit clause watches its one
-    literal twice), so an assignment visits only the clauses watching the
-    literal it falsifies. New units are queued in ascending clause index
-    and a conflict reports the highest all-false clause index, which pins
-    the propagation order. Each variable counts its open clauses; a clause
-    closes when it gains its first true literal and reopens when backjumping
-    takes that literal back. Clauses over one variable set form a class,
-    which numbers its clauses as bits of an int: one mask of its open
-    clauses and one per literal of the clauses holding it. A true literal
-    closes the open clauses holding it in each class of its variable with
-    one AND, and moves the count of every class variable by the popcount;
-    backjump ORs the masks back. Learned clauses join the class of their
-    variable set. Decisions come off a heap ordered by the decision key and
-    rebuilt after each backjump, so a decision costs a few heap steps rather
-    than a pass over every variable's clauses.
+    Clauses over one variable set form a class, which numbers its clauses
+    as bits of an int: one mask of its open clauses (no true literal yet)
+    and one per literal of the clauses holding it. A true literal closes
+    the open clauses holding it in each class of its variable with one AND;
+    backjump ORs the masks back. Each variable counts its open clauses,
+    moved by the popcount of each AND. Each class also counts its unassigned
+    variables. Every clause of a class holds one literal of each class
+    variable, so an open clause has exactly as many unassigned literals as
+    its class has free variables: when an assignment takes a class to one
+    free variable, every clause still open in it has just become a unit on
+    that variable, and at zero every one is all false. New units are queued
+    in ascending clause index and a conflict reports the highest all-false
+    clause index, which pins the propagation order. A learned clause joins
+    the class of its variable set or starts one. Joining cannot leave a
+    stale unit behind: after the backjump the class has one free variable,
+    and propagation at that level had finished, so every clause of the
+    class that turned unit there was closed by its unit literal and the
+    learned clause is the only open one. Decisions come off a heap ordered
+    by the decision key and rebuilt after each backjump, so a decision costs
+    a few heap steps rather than a pass over every variable's clauses.
 
     The witness for SAT is a total assignment over f.vars, with any
     unconstrained variable set True. budget caps the number of decisions;
@@ -79,15 +85,15 @@ def solve(f: Formula, budget: int = DEFAULT_BUDGET) -> SolveResult:
     index = {v: i for i, v in enumerate(variables)}
     n = len(variables)
     clauses: List[List[int]] = []    # literals in formula order
-    watched: List[List[int]] = []    # the same, the two watches first
-    watches: List[List[int]] = [[] for _ in range(2 * n)]   # per literal
     # a clause is open until it gains a true literal; the var that closed it
     # reopens it on backjump
     open_count = [0] * n    # open clauses holding each variable
     class_of: Dict[Tuple[int, ...], int] = {}   # sorted variables -> class
     class_vars: List[Tuple[int, ...]] = []
-    class_size: List[int] = []   # clauses numbered so far in each class
+    class_clauses: List[List[int]] = []   # bit i -> the class's clause i
     class_open: List[int] = []   # bit i: the class's clause i is open
+    class_free: List[int] = []   # unassigned variables of each class
+    classes: List[List[int]] = [[] for _ in range(n)]   # per variable
     holds: List[Dict[int, int]] = [{} for _ in range(2 * n)]   # class -> mask
     # per var, the (class, mask, popcount) of the clauses it closed
     closed_by: List[List[Tuple[int, int, int]]] = [[] for _ in range(n)]
@@ -106,25 +112,22 @@ def solve(f: Formula, budget: int = DEFAULT_BUDGET) -> SolveResult:
     order: List[Tuple[float, int, int]] = []
     order_stale = True
 
-    def add_clause(lits: List[int], second: int = 1) -> int:
-        """Add a clause with no true literal; it watches lits[0] and lits[second]."""
+    def add_clause(lits: List[int]) -> int:
+        """Add a clause with no true literal; return its index."""
         ci = len(clauses)
         clauses.append(lits)
-        watch = lits * 2 if len(lits) == 1 else lits[:]
-        watch[1], watch[second] = watch[second], watch[1]
-        watched.append(watch)
-        watches[watch[0]].append(ci)
-        if len(lits) > 1:
-            watches[watch[1]].append(ci)
         key = tuple(sorted(lit >> 1 for lit in lits))
         c = class_of.get(key)
         if c is None:
             c = class_of[key] = len(class_vars)
             class_vars.append(key)
-            class_size.append(0)
+            class_clauses.append([])
             class_open.append(0)
-        bit = 1 << class_size[c]
-        class_size[c] += 1
+            class_free.append(sum(not value[2 * u] for u in key))
+            for u in key:
+                classes[u].append(c)
+        bit = 1 << len(class_clauses[c])
+        class_clauses[c].append(ci)
         class_open[c] |= bit
         for lit in lits:
             masks = holds[lit]
@@ -155,37 +158,30 @@ def solve(f: Formula, budget: int = DEFAULT_BUDGET) -> SolveResult:
                 newly.append((c, shut, drop))
                 for u in class_vars[c]:
                     open_count[u] -= drop
-        units: List[int] = []
+        # an open clause has one unassigned literal per free class variable
+        units: List[Tuple[int, int]] = []
         conflict = -1
-        kept: List[int] = []
-        for ci in watches[false]:
-            w = watched[ci]
-            if w[0] == false:
-                w[0] = w[1]
-                w[1] = false
-            other = w[0]
-            if value[other] > 0:
-                kept.append(ci)
+        for c in classes[v]:
+            free = class_free[c] = class_free[c] - 1
+            rest = class_open[c]
+            if free > 1 or not rest:
                 continue
-            for j in range(2, len(w)):
-                cand = w[j]
-                if value[cand] >= 0:
-                    w[1] = cand
-                    w[j] = false
-                    watches[cand].append(ci)
-                    break
-            else:
-                kept.append(ci)
-                if value[other] == 0:
-                    units.append(ci)
-                elif ci > conflict:
-                    conflict = ci
-        watches[false] = kept
+            ids = class_clauses[c]
+            if not free:
+                conflict = max(conflict, ids[rest.bit_length() - 1])
+                continue
+            u = next(u for u in class_vars[c] if not value[2 * u])
+            pos = holds[2 * u].get(c, 0)
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                units.append((ids[low.bit_length() - 1],
+                              2 * u + (not pos & low)))
         if conflict >= 0:
             return conflict
         units.sort()
-        for ci in units:
-            queue.append((watched[ci][0], ci))
+        for ci, unit in units:
+            queue.append((unit, ci))
         return None
 
     def backjump(to_level: int) -> None:
@@ -196,6 +192,8 @@ def solve(f: Formula, budget: int = DEFAULT_BUDGET) -> SolveResult:
         while len(trail) > mark:
             v = trail.pop()
             value[2 * v] = value[2 * v + 1] = 0
+            for c in classes[v]:
+                class_free[c] += 1
             for c, shut, drop in closed_by[v]:
                 class_open[c] |= shut
                 for u in class_vars[c]:
@@ -292,9 +290,7 @@ def solve(f: Formula, budget: int = DEFAULT_BUDGET) -> SolveResult:
             learned, back = analyze(conflict)
             backjump(back)
             act_inc /= 0.95
-            deepest = max(range(1, len(learned)),
-                          key=lambda j: level[learned[j] >> 1], default=0)
-            conflict = propagate(learned[0], add_clause(learned, deepest))
+            conflict = propagate(learned[0], add_clause(learned))
         return True
 
     # top-level units before any decision

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcnf.constructions import lemma1_build, lemma2_build
 from kcnf.dp import f2_value, feasible, materialize
@@ -74,8 +76,8 @@ def test_deterministic_reruns():
 
 
 def test_agreement_with_enumeration_random_3cnf():
-    # mixed widths 1-4; every fifth formula is units only, so single-literal
-    # watches and learned unit clauses are exercised too
+    # mixed widths 1-4; every fifth formula is units only, so one-variable
+    # classes and learned unit clauses are exercised too
     rng = random.Random(987123)
     for trial in range(200):
         n = rng.randint(1, 8)
@@ -197,9 +199,57 @@ PINNED_RANDOM = [
 
 
 def test_pinned_random_search():
-    formulas = _random_formulas()
-    assert len(formulas) == len(PINNED_RANDOM)
-    for i, (f, pin) in enumerate(zip(formulas, PINNED_RANDOM)):
+    _assert_pinned(_random_formulas(), PINNED_RANDOM)
+
+
+def _class_formulas():
+    """20 formulas whose clauses all lie over 2-8 shared sets of 3-5 vars."""
+    rng = random.Random(12)
+    out = []
+    for _ in range(20):
+        n = rng.randint(8, 20)
+        clauses = []
+        for _ in range(rng.randint(2, 8)):
+            vs = rng.sample(range(1, n + 1), rng.randint(3, 5))
+            full = 1 << len(vs)
+            picks = rng.sample(range(full), rng.randint(full >> 1, full - 1))
+            for signs in picks:
+                clauses.append([-v if signs >> j & 1 else v
+                                for j, v in enumerate(vs)])
+        out.append(Formula(clauses))
+    return out
+
+
+# the same columns for _class_formulas(): every variable set carries half
+# or more of its sign patterns, so classes are large and their open clauses
+# disagree on the polarity of the last free variable, as in the blocks
+PINNED_CLASSES = [
+    (SAT, 12, 7, 2, "1111101011101"),
+    (UNSAT, 6, 14, 5, None),
+    (UNSAT, 8, 14, 6, None),
+    (SAT, 4, 8, 3, "00101"),
+    (SAT, 19, 29, 9, "01001011111100011"),
+    (UNSAT, 9, 21, 7, None),
+    (UNSAT, 7, 17, 7, None),
+    (SAT, 8, 6, 2, "01111100"),
+    (UNSAT, 9, 11, 4, None),
+    (SAT, 6, 8, 3, "1101000"),
+    (UNSAT, 14, 31, 12, None),
+    (SAT, 6, 5, 1, "01110011"),
+    (UNSAT, 6, 15, 6, None),
+    (SAT, 3, 2, 0, "11110"),
+    (UNSAT, 8, 14, 6, None),
+    (SAT, 22, 43, 16, "01010101001101"),
+    (SAT, 4, 3, 1, "101110"),
+    (SAT, 7, 3, 1, "1111111100"),
+    (UNSAT, 11, 27, 10, None),
+    (SAT, 4, 4, 1, "110011"),
+]
+
+
+def _assert_pinned(formulas, pins):
+    assert len(formulas) == len(pins)
+    for i, (f, pin) in enumerate(zip(formulas, pins)):
         res = solve(f)
         witness = None if res.witness is None else "".join(
             "01"[res.witness[v]] for v in sorted(f.vars))
@@ -207,6 +257,37 @@ def test_pinned_random_search():
                 witness) == pin, f"formula {i}"
         if res.status == SAT:
             assert satisfies(f, res.witness)
+
+
+def test_pinned_class_search():
+    _assert_pinned(_class_formulas(), PINNED_CLASSES)
+
+
+@st.composite
+def class_formula_st(draw):
+    """Clauses over a few shared variable sets of at most 12 variables."""
+    n = draw(st.integers(2, 12))
+    var_sets = draw(st.lists(
+        st.lists(st.integers(1, n), min_size=2, max_size=min(n, 5),
+                 unique=True),
+        min_size=1, max_size=6))
+    clauses = []
+    for vs in var_sets:
+        full = 1 << len(vs)
+        for signs in draw(st.sets(st.integers(0, full - 1),
+                                  min_size=len(vs), max_size=full - 1)):
+            clauses.append([-v if signs >> j & 1 else v
+                            for j, v in enumerate(vs)])
+    return Formula(clauses)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(class_formula_st())
+def test_agreement_with_enumeration_shared_sets(f):
+    res = solve(f)
+    assert res.status == (SAT if enumerate_models(f) else UNSAT)
+    if res.status == SAT:
+        assert satisfies(f, res.witness)
 
 
 def test_enumerate_models_cap():
