@@ -2,7 +2,8 @@
 
 A derivation state is an unsatisfiable formula F = F' u F'' where F'' is the
 part already at width k and F' (never empty before the end) is width-uniform
-at some w < k. The state is summarized by (w, |F'|); both rules below track
+at some w < k; it is held as a formula.WidthPartition, which as_derived
+checks. The state is summarized by (w, |F'|); both rules below track
 exactly how many clauses each fresh variable lands in, which is what makes
 the occurrence cap s checkable per step:
 
@@ -17,9 +18,10 @@ Both rules are calls of formula.substitute, F' x G u F'' for a guard formula G.
 Splitting is only sound under the cap when the split variables of F' do not
 already occur elsewhere; the restricted mode enforces the structural
 condition (every F'-variable in every F'-clause and in no F''-clause), which
-holds exactly for the axiom and chains of splits. The literal mode performs
-the textual operation regardless, which lets one exhibit the occurrence
-overflow that motivates the restriction.
+holds exactly for the axiom and chains of splits; it is checked when a
+restricted split is applied, not when a state is made. The literal mode
+performs the textual operation regardless, which lets one exhibit the
+occurrence overflow that motivates the restriction.
 
 Derivations are recorded as traces, a line-oriented format small enough to
 diff: numbered nodes AXIOM / SPLIT <child> / COMPOSE <left> <right> and a
@@ -34,6 +36,7 @@ from typing import List, Optional, Set, Tuple
 from .formula import (
     Formula,
     VarAllocator,
+    WidthPartition,
     almost_complete_formula,
     complete_formula,
     substitute,
@@ -47,28 +50,7 @@ class CalculusError(ValueError):
     """A rule application whose side conditions do not hold."""
 
 
-@dataclass(frozen=True)
-class DerivedFormula:
-    """A formula together with its derivation-state summary at width k."""
-
-    formula: Formula
-    k: int
-    width: int              # width of F', or k once F' is empty
-    incomplete: Formula     # F'
-    complete: Formula       # F''
-    splittable: bool
-
-    @property
-    def size(self) -> int:
-        """|F'|, the quantity the occurrence requirements are charged on."""
-        return len(self.incomplete)
-
-    @property
-    def is_final(self) -> bool:
-        return not self.incomplete.clauses
-
-
-def as_derived(formula: Formula, k: int) -> DerivedFormula:
+def as_derived(formula: Formula, k: int) -> WidthPartition:
     """Classify a formula as a derivation state, recomputing everything.
 
     Raises if the sub-width part is not width-uniform; mixed widths never
@@ -77,20 +59,11 @@ def as_derived(formula: Formula, k: int) -> DerivedFormula:
     if k < 1:
         raise CalculusError("k must be positive")
     part = width_partition(formula, k)
-    widths = {len(c) for c in part.incomplete.clauses}
+    widths = part.incomplete.widths()
     if len(widths) > 1:
         raise CalculusError(
             f"sub-width part has mixed widths {sorted(widths)}")
-    width = widths.pop() if widths else k
-    splittable = _splittable(part.incomplete, part.complete)
-    return DerivedFormula(
-        formula=formula,
-        k=k,
-        width=width,
-        incomplete=part.incomplete,
-        complete=part.complete,
-        splittable=splittable,
-    )
+    return part
 
 
 def _splittable(incomplete: Formula, complete: Formula) -> bool:
@@ -100,7 +73,7 @@ def _splittable(incomplete: Formula, complete: Formula) -> bool:
             and incomplete.vars.isdisjoint(complete.vars))
 
 
-def axiom(k: int) -> DerivedFormula:
+def axiom(k: int) -> WidthPartition:
     """The starting state: just the empty clause."""
     return as_derived(Formula([[]]), k)
 
@@ -113,12 +86,12 @@ def _ensure_alloc(alloc: Optional[VarAllocator], *formulas: Formula) -> VarAlloc
     return alloc
 
 
-def split_requirement(df: DerivedFormula) -> int:
+def split_requirement(df: WidthPartition) -> int:
     return 2 * df.size
 
 
-def split(df: DerivedFormula, s: int, mode: str = "restricted",
-          alloc: Optional[VarAllocator] = None) -> DerivedFormula:
+def split(df: WidthPartition, s: int, mode: str = "restricted",
+          alloc: Optional[VarAllocator] = None) -> WidthPartition:
     """Apply the split rule with a fresh variable; see the module doc."""
     if mode not in SPLIT_MODES:
         raise CalculusError(f"unknown split mode {mode!r}")
@@ -127,7 +100,7 @@ def split(df: DerivedFormula, s: int, mode: str = "restricted",
     need = split_requirement(df)
     if need > s:
         raise CalculusError(f"split needs s >= {need}, have s = {s}")
-    if mode == "restricted" and not df.splittable:
+    if mode == "restricted" and not _splittable(df.incomplete, df.complete):
         raise CalculusError(
             "restricted split: F' variables must fill F' and avoid F''")
     alloc = _ensure_alloc(alloc, df.formula)
@@ -142,8 +115,8 @@ def compose_requirement(k: int, k1: int, k2: int, m1: int, m2: int) -> int:
     return (2 ** (k - k2) - 1) * m1 + m2
 
 
-def compose(df1: DerivedFormula, df2: DerivedFormula, s: int,
-            alloc: Optional[VarAllocator] = None) -> DerivedFormula:
+def compose(df1: WidthPartition, df2: WidthPartition, s: int,
+            alloc: Optional[VarAllocator] = None) -> WidthPartition:
     """Apply the compose rule; operands must be variable-disjoint.
 
     One substitution of df1 per clause of K^- over the fresh block (the
@@ -167,7 +140,7 @@ def compose(df1: DerivedFormula, df2: DerivedFormula, s: int,
     return as_derived(result, k)
 
 
-def _check_compose_operands(df1: DerivedFormula, df2: DerivedFormula) -> None:
+def _check_compose_operands(df1: WidthPartition, df2: WidthPartition) -> None:
     if df1.k != df2.k:
         raise CalculusError(f"mixed k: {df1.k} vs {df2.k}")
     if df1.is_final or df2.is_final:

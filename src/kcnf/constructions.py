@@ -27,6 +27,7 @@ from .formula import (
     VarAllocator,
     almost_complete_formula,
     complete_formula,
+    occurrence_census,
     product,
     substitute,
     width_partition,
@@ -115,8 +116,8 @@ def _check(formula: Formula, st: ConstructionStats, kj: int) -> None:
     part = width_partition(formula, st.k)
     assert len(formula) == st.m, "clause collision in construction"
     assert len(formula.vars) == st.n
-    assert part.census().max_occurrence == st.max_occurrence
-    assert len(part.incomplete) == st.incomplete_size
+    assert occurrence_census(formula).max_occurrence == st.max_occurrence
+    assert part.size == st.incomplete_size
     assert part.incomplete.is_width_uniform(kj)
 
 

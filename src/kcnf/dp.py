@@ -606,7 +606,7 @@ def materialize(trace: DerivTrace, k: int, s: int,
         built.append(df)
     # annotate_trace put the final node at width k, so its |F'| is 0
     result = built.pop()
-    census = occurrence_census(result.formula, k)
+    census = occurrence_census(result.formula)
     if census.max_occurrence > s:
         raise MaterializeError(
             f"materialized formula has a variable in {census.max_occurrence} "
@@ -709,13 +709,14 @@ def f2_table(k_from: int, k_to: int, jobs: int = 1) -> Iterator[F2Row]:
     """Stream rows for k_from..k_to; jobs > 1 fans out across processes."""
     if k_from < 1 or k_to < k_from:
         raise ValueError("need 1 <= k_from <= k_to")
-    if jobs <= 1:
+    chunks = [(a, min(a + _TABLE_CHUNK - 1, k_to))
+              for a in range(k_from, k_to + 1, _TABLE_CHUNK)]
+    workers = min(jobs, len(chunks))
+    if workers <= 1:
         yield from _f2_rows(k_from, k_to)
         return
     import multiprocessing
 
-    chunks = [(a, min(a + _TABLE_CHUNK - 1, k_to))
-              for a in range(k_from, k_to + 1, _TABLE_CHUNK)]
-    with multiprocessing.Pool(jobs) as pool:
+    with multiprocessing.Pool(workers) as pool:
         for rows in pool.imap(_f2_chunk, chunks):
             yield from rows

@@ -154,61 +154,61 @@ def product(f1: Formula, f2: Formula) -> Formula:
 
 @dataclass(frozen=True)
 class WidthPartition:
-    """Split of a formula at width k: incomplete (< k) and complete (== k)."""
+    """A formula split at width k into F' (width < k) and F'' (width == k).
 
+    This is the derivation state of the calculus and of the construction
+    step: both act on F' and keep F'' as it is.
+    """
+
+    formula: Formula
     k: int
-    incomplete: Formula
-    complete: Formula
+    incomplete: Formula     # F'
+    complete: Formula       # F''
 
-    def census(self) -> "OccurrenceCensus":
-        """occurrence_census(f, k) of the partitioned f, from this split."""
-        return _census(self.incomplete.clauses, self.complete.clauses)
+    @property
+    def width(self) -> int:
+        """Width of F' (uniform in a derivation state, which as_derived
+        checks), or k once F' is empty."""
+        return next(map(len, self.incomplete.clauses), self.k)
+
+    @property
+    def size(self) -> int:
+        """|F'|, the quantity the occurrence requirements are charged on."""
+        return len(self.incomplete)
+
+    @property
+    def is_final(self) -> bool:
+        return not self.incomplete.clauses
 
 
-def _split_at(f: Formula, k: int) -> Tuple[List[Clause], List[Clause]]:
-    """Clauses of width < k and of width == k; wider is an error."""
+def width_partition(f: Formula, k: int) -> WidthPartition:
+    """Partition clauses into width < k and width == k; wider is an error."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     widths = list(map(len, f.clauses))  # a frozenset iterates in one order
     if max(widths, default=0) > k:
         wide = next(w for w in widths if w > k)
         raise ValueError(f"clause of width {wide} exceeds k={k}")
-    return (list(compress(f.clauses, map(k.__gt__, widths))),
-            list(compress(f.clauses, map(k.__eq__, widths))))
-
-
-def width_partition(f: Formula, k: int) -> WidthPartition:
-    """Partition clauses into width < k and width == k; wider is an error."""
-    narrow, full = _split_at(f, k)
-    return WidthPartition(k=k, incomplete=Formula._of(frozenset(narrow)),
+    narrow = compress(f.clauses, map(k.__gt__, widths))
+    full = compress(f.clauses, map(k.__eq__, widths))
+    return WidthPartition(formula=f, k=k,
+                          incomplete=Formula._of(frozenset(narrow)),
                           complete=Formula._of(frozenset(full)))
 
 
 @dataclass(frozen=True)
 class OccurrenceCensus:
-    """Per-variable occurrence counts, split by the width-k partition."""
+    """Per-variable occurrence totals and their maximum."""
 
     total: Dict[int, int]
-    incomplete: Dict[int, int]
-    complete: Dict[int, int]
     max_occurrence: int
 
 
-def occurrence_census(f: Formula, k: int) -> OccurrenceCensus:
+def occurrence_census(f: Formula) -> OccurrenceCensus:
     """Count clause memberships per variable (each clause counts once)."""
-    return _census(*_split_at(f, k))
-
-
-def _census(narrow: Iterable[Clause], full: Iterable[Clause]) -> OccurrenceCensus:
-    incomplete = Counter(map(abs, chain.from_iterable(narrow)))
-    complete = Counter(map(abs, chain.from_iterable(full)))
-    total = incomplete + complete
-    return OccurrenceCensus(
-        total=total,
-        incomplete=incomplete,
-        complete=complete,
-        max_occurrence=max(total.values(), default=0),
-    )
+    total = Counter(map(abs, chain.from_iterable(f.clauses)))
+    return OccurrenceCensus(total=total,
+                            max_occurrence=max(total.values(), default=0))
 
 
 class VarAllocator:

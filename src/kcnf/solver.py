@@ -406,7 +406,7 @@ def verify_instance(f: Formula, k: int, s: Optional[int] = None,
                     budget: int = DEFAULT_BUDGET) -> VerifyReport:
     """Check width uniformity, occurrence cap and (optionally) run the solver."""
     widths = tuple(sorted(f.widths()))
-    census = occurrence_census(f, max(widths, default=k))
+    census = occurrence_census(f)
     report = VerifyReport(
         n=len(f.vars),
         m=len(f),

@@ -95,7 +95,7 @@ def test_04_block_construction():
             n = k + u * (k - l)
             m = 2 ** v * (2 ** l - 1) ** u + u * 2 ** (k - l)
             s = 2 ** (k - l * u) * (2 ** l - 1) ** u + 2 ** (k - l)
-            census = occurrence_census(formula, k)
+            census = occurrence_census(formula)
             if not formula.is_width_uniform(k):
                 bad.append(f"({k},{l}) width")
             got = (len(formula.vars), len(formula), census.max_occurrence)
@@ -122,7 +122,7 @@ def test_05_staged_construction():
                     bad.append(f"({k},{l}) stage {j} sat")
                 if len(width_partition(formula, k).incomplete) > 2 ** (k - l):
                     bad.append(f"({k},{l}) stage {j} incomplete size")
-            final_census = occurrence_census(stages[-1][0], k)
+            final_census = occurrence_census(stages[-1][0])
             if final_census.max_occurrence > lemma2_occurrence_bound(k, l):
                 bad.append(f"({k},{l}) final occurrence")
     f4, s4 = lemma2_build(4, 1)[-1]
@@ -179,7 +179,7 @@ def test_07_composition_law():
                 # copies of df1, so it is the lowest-numbered new variables
                 fresh = sorted(result.formula.vars
                                - df1.formula.vars - df2.formula.vars)
-                census = occurrence_census(result.formula, k)
+                census = occurrence_census(result.formula)
                 if any(census.total[x] != need for x in fresh[:d]):
                     bad.append(f"k={k} ({w1},{w2}) block occurrence")
                 if solve(result.formula).status != UNSAT:
@@ -190,7 +190,7 @@ def test_07_composition_law():
     # refuses it outright
     g = compose(axiom(2), split(axiom(2), 3), 3)
     overflow = split(g, 3, mode="literal")
-    if occurrence_census(overflow.formula, 2).max_occurrence != 4:
+    if occurrence_census(overflow.formula).max_occurrence != 4:
         bad.append("counterexample census")
     try:
         split(g, 3, mode="restricted")

@@ -55,7 +55,7 @@ class TestDerivedState:
     def test_axiom(self):
         a = axiom(3)
         assert a.width == 0 and a.size == 1
-        assert a.splittable and not a.is_final
+        assert _splittable(a.incomplete, a.complete) and not a.is_final
         assert a.formula == Formula([[]])
 
     def test_complete_formula_is_final(self):
@@ -67,12 +67,16 @@ class TestDerivedState:
             as_derived(Formula([[1], [2, 3]]), 3)
 
     def test_splittable_detection(self):
+        def splittable(f, k):
+            df = as_derived(f, k)
+            return _splittable(df.incomplete, df.complete)
+
         # a pure chain prefix is splittable
-        assert as_derived(complete_formula([1, 2]), 3).splittable
+        assert splittable(complete_formula([1, 2]), 3)
         # sub-width variable leaking into the width-k part is not
-        assert not as_derived(Formula([[-1], [1, 2], [1, -2]]), 2).splittable
+        assert not splittable(Formula([[-1], [1, 2], [1, -2]]), 2)
         # sub-width clause missing one of the sub-width variables is not
-        assert not as_derived(Formula([[1], [2]]), 2).splittable
+        assert not splittable(Formula([[1], [2]]), 2)
 
     @given(_clause_lists(4), _clause_lists(6))
     def test_splittable_matches_per_variable_definition(self, inc, comp):
@@ -89,7 +93,7 @@ class TestSplit:
             assert split_requirement(df) == 2 ** w
             df = split(df, 100, alloc=alloc)
             assert df.width == w and df.size == 2 ** w
-            assert df.splittable
+            assert _splittable(df.incomplete, df.complete)
             assert df.formula == complete_formula(range(1, w + 1))
         df = split(df, 100, alloc=alloc)
         assert df.is_final and df.formula == complete_formula(range(1, 5))
@@ -107,7 +111,7 @@ class TestSplit:
         n0 = alloc.next_id
         before = df.size
         df = split(df, 100, alloc=alloc)
-        census = occurrence_census(df.formula, 5)
+        census = occurrence_census(df.formula)
         assert census.total[n0] == 2 * before
 
     def test_cannot_split_final(self):
@@ -134,12 +138,12 @@ class TestCompose:
         x1, final = self.worked_example()
         assert x1.formula == Formula([[-2], [-1, 2], [1, 2]])
         assert x1.width == 1 and x1.size == 1
-        assert occurrence_census(x1.formula, 2).max_occurrence == 3
+        assert occurrence_census(x1.formula).max_occurrence == 3
         assert final.formula == Formula(
             [[-2, -5], [-1, 2], [1, 2], [-4, 5], [-3, 4], [3, 4]])
         assert final.is_final
         assert len(final.formula) == 6 and len(final.formula.vars) == 5
-        assert occurrence_census(final.formula, 2).max_occurrence == 3
+        assert occurrence_census(final.formula).max_occurrence == 3
         assert solve(final.formula).status == UNSAT
 
     def test_split_needs_restriction_here(self):
@@ -149,7 +153,7 @@ class TestCompose:
             split(x1, 3)
         # the unrestricted version goes through but blows the cap
         lit = split(x1, 3, mode="literal")
-        assert occurrence_census(lit.formula, 2).max_occurrence == 4
+        assert occurrence_census(lit.formula).max_occurrence == 4
 
     def test_requirement_examples(self):
         assert compose_requirement(3, 0, 1, 1, 2) == 5
@@ -228,7 +232,8 @@ class TestRandomDerivations:
                 if roll < 0.3 or not open_states:
                     pool.append(axiom(k))
                 elif roll < 0.6:
-                    cands = [df for df in open_states if df.splittable]
+                    cands = [df for df in open_states
+                             if _splittable(df.incomplete, df.complete)]
                     if not cands:
                         continue
                     df = rng.choice(cands)
@@ -236,7 +241,7 @@ class TestRandomDerivations:
                     n0 = alloc.next_id
                     before = df.size
                     res = split(df, big, alloc=alloc)
-                    assert occurrence_census(res.formula, k).total[n0] \
+                    assert occurrence_census(res.formula).total[n0] \
                         == 2 * before
                     pool.append(res)
                 else:
@@ -251,7 +256,7 @@ class TestRandomDerivations:
                     need = compose_requirement(k, d1.width, d2.width,
                                                d1.size, d2.size)
                     res = compose(d1, d2, big, alloc=alloc)
-                    census = occurrence_census(res.formula, k)
+                    census = occurrence_census(res.formula)
                     for v in range(n0, n0 + d):
                         assert census.total[v] == need
                     if res.width < k:

@@ -55,7 +55,7 @@ class TestBlockConstruction:
                                      for l in range(1, k + 1)])
     def test_build_matches_stats_and_is_unsat(self, k, l):
         f, st = lemma1_build(k, l)
-        census = occurrence_census(f, k)
+        census = occurrence_census(f)
         assert len(f) == st.m
         assert len(f.vars) == st.n
         assert census.max_occurrence == st.max_occurrence
@@ -117,7 +117,7 @@ class TestStagedConstruction:
         assert len(stages) == 2
         for j, ((f, st), want) in enumerate(zip(stages, expected)):
             assert st == want
-            census = occurrence_census(f, k)
+            census = occurrence_census(f)
             assert len(f) == st.m and len(f.vars) == st.n
             assert census.max_occurrence == st.max_occurrence <= s_bound
             inc = width_partition(f, k).incomplete

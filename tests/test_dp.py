@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import heapq
+import multiprocessing
 import types
 
 import pytest
@@ -335,7 +336,7 @@ class TestMaterialize:
             s = f2_value(k) + 1
             formula = materialize(feasible(k, s), k, s)
             assert formula.is_width_uniform(k)
-            census = occurrence_census(formula, k)
+            census = occurrence_census(formula)
             assert census.max_occurrence <= s
             assert solve(formula).status == UNSAT
 
@@ -373,7 +374,7 @@ class TestMaterialize:
         ), 2)
         formula = materialize(tr, 2, 4)
         assert len(formula) == 4
-        assert occurrence_census(formula, 2).max_occurrence <= 4
+        assert occurrence_census(formula).max_occurrence <= 4
         assert solve(formula).status == UNSAT
 
     def test_insufficient_cap_rejected(self):
@@ -436,6 +437,38 @@ class TestTable:
         serial = list(f2_table(1, 40))
         assert list(f2_table(1, 40, jobs=2)) == serial
         assert list(f2_table(30, 40)) == serial[29:]
+
+    def test_pool_never_outnumbers_chunks(self, monkeypatch):
+        # a stand-in Pool that records its size and maps in this process:
+        # one 16-k chunk takes the serial path, three chunks get 3 workers
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        assert list(f2_table(1, 10, jobs=8)) == list(f2_table(1, 10))
+        assert list(f2_table(1, 40, jobs=8)) == list(f2_table(1, 40))
+        assert sizes == [3]
+
+    def test_threshold_at_most_doubles(self):
+        # T(k + 1) <= 2 T(k) for T = f2 + 1: observed, not proven
+        for literal, ts in (
+                (False, [row.f2 + 1 for row in f2_table(1, 160)]),
+                (True, [f2_value(k, literal=True) + 1 for k in range(1, 41)])):
+            over = [k for k, (a, b) in enumerate(zip(ts, ts[1:]), start=1)
+                    if b > 2 * a]
+            assert over == [], (literal, over)
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):

@@ -57,7 +57,7 @@ def test_complete_formula_counts():
         vs = list(range(1, n + 1))
         kf = complete_formula(vs)
         assert len(kf) == 2 ** n
-        census = occurrence_census(kf, n)
+        census = occurrence_census(kf)
         for v in vs:
             assert census.total[v] == 2 ** n
         assert all(len(c) == n for c in kf.clauses)
@@ -132,6 +132,7 @@ def test_product_identity_with_empty_clause_formula():
 def test_width_partition_sums():
     f = Formula([[1], [1, 2], [1, 2, 3], [-1, 2, -3]])
     part = width_partition(f, 3)
+    assert part.formula is f and part.k == 3
     assert len(part.incomplete) + len(part.complete) == len(f)
     assert part.incomplete == Formula([[1], [1, 2]])
     assert part.complete == Formula([[1, 2, 3], [-1, 2, -3]])
@@ -144,12 +145,9 @@ def test_width_partition_rejects_wide_clause():
 
 def test_occurrence_census_split():
     f = Formula([[1], [1, 2], [1, 2, 3]])
-    census = occurrence_census(f, 3)
+    census = occurrence_census(f)
     assert census.total == {1: 3, 2: 2, 3: 1}
-    assert census.incomplete == {1: 2, 2: 1}
-    assert census.complete == {1: 1, 2: 1, 3: 1}
     assert census.max_occurrence == 3
-    assert width_partition(f, 3).census() == census
 
 
 def test_fresh_copy_is_disjoint_isomorph():
@@ -185,14 +183,12 @@ def test_rename_maps_literals_with_their_sign():
     assert rename(f, {1: 7, 2: 5, 3: 9}) == Formula([[7, -5], [5, 9], [-7]])
 
 
-def _naive_census(f, k):
-    total, incomplete, complete = {}, {}, {}
+def _naive_census(f):
+    total = {}
     for clause in f.clauses:
-        side = incomplete if len(clause) < k else complete
         for lit in clause:
-            side[abs(lit)] = side.get(abs(lit), 0) + 1
             total[abs(lit)] = total.get(abs(lit), 0) + 1
-    return total, incomplete, complete, max(total.values(), default=0)
+    return total, max(total.values(), default=0)
 
 
 def _signed(variables):
@@ -209,17 +205,11 @@ sparse_formula_st = st.lists(
 
 
 @settings(max_examples=300, deadline=None)
-@given(sparse_formula_st, st.integers(min_value=0, max_value=7))
-def test_census_matches_naive_count(clauses, k):
+@given(sparse_formula_st)
+def test_census_matches_naive_count(clauses):
     f = Formula(clauses)
-    if any(len(c) > k for c in f.clauses):
-        with pytest.raises(ValueError, match=f"exceeds k={k}"):
-            occurrence_census(f, k)
-        return
-    census = occurrence_census(f, k)
-    got = (census.total, census.incomplete, census.complete,
-           census.max_occurrence)
-    assert got == _naive_census(f, k)
+    census = occurrence_census(f)
+    assert (census.total, census.max_occurrence) == _naive_census(f)
 
 
 def _clauses_over(pool):

@@ -1,12 +1,17 @@
 """Source-level checks over the kcnf modules, read with ast, never imported."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "kcnf"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "kcnf"
 MODULES = sorted(SRC.glob("*.py"))
+# where a kcnf name may be used: the package, its tests and the benchmark
+SEARCHED = sorted(p for d in (SRC, ROOT / "tests", ROOT / "perfbench")
+                  for p in d.glob("*.py"))
 
 
 def _imported_names(tree):
@@ -34,3 +39,31 @@ def test_package_reexports_nothing():
     body = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8")).body
     assert len(body) == 1 and isinstance(body[0], ast.Expr)
     assert isinstance(body[0].value, ast.Constant)
+
+
+def _top_level_definitions(tree):
+    """(name, first line, last line) of each module-level def, class and
+    assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno, node.end_lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for name in ast.walk(node):
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                    yield name.id, node.lineno, node.end_lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_top_level_name_is_used(path):
+    # a plain-text search: a name counts as used when it appears in any
+    # searched file outside the lines of its own definition
+    texts = {p: p.read_text(encoding="utf-8") for p in SEARCHED}
+    lines = texts[path].splitlines()
+    unused = []
+    for name, first, last in _top_level_definitions(ast.parse(texts[path])):
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        elsewhere = "\n".join(lines[:first - 1] + lines[last:])
+        if not word.search(elsewhere) and not any(
+                word.search(text) for p, text in texts.items() if p != path):
+            unused.append(f"{name} (line {first})")
+    assert not unused, f"{path.name} defines but never names {unused}"
