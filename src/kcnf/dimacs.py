@@ -17,7 +17,7 @@ through a table of literal strings.
 from __future__ import annotations
 
 from itertools import chain
-from typing import List
+from typing import Dict, List
 
 from .formula import Formula
 
@@ -53,8 +53,14 @@ def read_dimacs(text: str) -> Formula:
     literals and duplicate clauses collapse (set semantics). Raises
     DimacsError on a malformed or missing header, a variable index above
     the declared count, an unterminated final clause, or a tautology.
+
+    int() runs once per distinct clause token: a per-file table maps each
+    token to its literal, and the bound on variable indices is checked
+    over the table's values. Every error, its message and its line number
+    are the same as those of a reader that parses every token.
     """
     header = None
+    lit_of: Dict[str, int] = {}   # each distinct clause token, parsed once
     clauses: List[List[int]] = []
     current: List[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -77,13 +83,15 @@ def read_dimacs(text: str) -> Formula:
         if header is None:
             raise DimacsError(f"line {lineno}: clause before header")
         try:
-            lits = list(map(int, parts))
-        except ValueError:
+            lits = list(map(lit_of.__getitem__, parts))
+        except KeyError:
             for tok in parts:
-                try:
-                    int(tok)
-                except ValueError:
-                    raise DimacsError(f"line {lineno}: bad token {tok!r}")
+                if tok not in lit_of:
+                    try:
+                        lit_of[tok] = int(tok)
+                    except ValueError:
+                        raise DimacsError(f"line {lineno}: bad token {tok!r}")
+            lits = list(map(lit_of.__getitem__, parts))
         if not current and lits[-1] == 0 and lits.index(0) == len(lits) - 1:
             lits.pop()  # the common line: exactly one whole clause
             clauses.append(lits)
@@ -98,8 +106,9 @@ def read_dimacs(text: str) -> Formula:
         raise DimacsError("missing 'p cnf' header")
 
     n_vars, _ = header
-    body = clauses + [current]  # every literal, in file order
-    if max(map(abs, chain.from_iterable(body)), default=0) > n_vars:
+    # every clause token is in lit_of, so its values bound every literal
+    if max(map(abs, lit_of.values()), default=0) > n_vars:
+        body = clauses + [current]  # every literal, in file order
         tok = next(t for t in chain.from_iterable(body) if abs(t) > n_vars)
         raise DimacsError(
             f"literal {tok} exceeds declared variable count {n_vars}")

@@ -17,6 +17,15 @@ Formula._of, used only in this module, which trusts its clauses: a subset
 or union of valid clauses is valid, and so is c1 | c2 when c1 and c2 share
 no variable. Checking them again would repeat the whole per-literal scan
 at every step of a construction.
+
+The same operations hand on the variable set, so a built formula is not
+scanned again for it. product, rename and substitute always carry an
+exact set: a renaming maps the variables of its operand, and every clause
+of a product operand is in some product clause unless the other operand
+has no clauses (the product is then empty). union carries the union of
+its operands' sets only when each operand already knows its own; it never
+scans to learn one. K^- and the pieces of a width partition learn theirs
+on first use of .vars.
 """
 
 from __future__ import annotations
@@ -67,11 +76,13 @@ class Formula:
         self._vars: Optional[FrozenSet[int]] = None
 
     @classmethod
-    def _of(cls, clauses: FrozenSet[Clause]) -> "Formula":
-        """Wrap clauses known to be valid (see the module doc), unchecked."""
+    def _of(cls, clauses: FrozenSet[Clause],
+            variables: Optional[FrozenSet[int]] = None) -> "Formula":
+        """Wrap clauses known to be valid (see the module doc), unchecked;
+        variables, when given, must be exactly the variables they hold."""
         f = cls.__new__(cls)
         f.clauses = clauses
-        f._vars = None
+        f._vars = variables
         return f
 
     @property
@@ -103,7 +114,11 @@ class Formula:
         return sorted(self.clauses, key=clause_sort_key)
 
     def union(self, *others: "Formula") -> "Formula":
-        return Formula._of(self.clauses.union(*[f.clauses for f in others]))
+        variables = None
+        if self._vars is not None and all(f._vars is not None for f in others):
+            variables = self._vars.union(*[f._vars for f in others])
+        return Formula._of(self.clauses.union(*[f.clauses for f in others]),
+                           variables)
 
     def widths(self) -> FrozenSet[int]:
         return frozenset(map(len, self.clauses))
@@ -142,14 +157,18 @@ def product(f1: Formula, f2: Formula) -> Formula:
     Satisfied exactly by assignments satisfying f1 or f2, and
     |product| = |f1| * |f2| (disjointness keeps the unions distinct).
     """
-    overlap = f1.vars & f2.vars
+    vars1, vars2 = f1.vars, f2.vars
+    _check_disjoint(vars1, vars2)
+    clauses = frozenset(c1 | c2 for c1 in f1.clauses for c2 in f2.clauses)
+    # Disjointness makes collisions impossible; guard against regressions.
+    assert len(clauses) == len(f1) * len(f2)
+    return Formula._of(clauses, vars1 | vars2 if clauses else frozenset())
+
+
+def _check_disjoint(vars1: FrozenSet[int], vars2: FrozenSet[int]) -> None:
+    overlap = vars1 & vars2
     if overlap:
         raise ValueError(f"product operands share variables: {sorted(overlap)}")
-    result = Formula._of(
-        frozenset(c1 | c2 for c1 in f1.clauses for c2 in f2.clauses))
-    # Disjointness makes collisions impossible; guard against regressions.
-    assert len(result) == len(f1) * len(f2)
-    return result
 
 
 @dataclass(frozen=True)
@@ -252,25 +271,46 @@ def rename(f: Formula, mapping: Dict[int, int]) -> Formula:
         raise ValueError("renaming must map positive ids to positive ids")
     if len(set(mapping.values())) != len(mapping):
         raise ValueError("renaming is not injective")
+    clauses = _renamed(f.clauses, _literal_table(mapping))
+    if len(clauses) != len(f):
+        raise ValueError("renaming collapsed clauses")
+    return Formula._of(clauses, frozenset(map(mapping.__getitem__, f.vars)))
+
+
+def _literal_table(mapping: Dict[int, int]) -> Dict[int, int]:
+    """The renaming of variables as a renaming of both their literals."""
     table = {}
     for v, w in mapping.items():
         table[v] = w
         table[-v] = -w
-    out = Formula._of(frozenset(
-        frozenset(map(table.__getitem__, clause)) for clause in f.clauses))
-    if len(out) != len(f):
-        raise ValueError("renaming collapsed clauses")
-    return out
+    return table
+
+
+def _renamed(clauses: FrozenSet[Clause],
+             table: Dict[int, int]) -> FrozenSet[Clause]:
+    return frozenset(frozenset(map(table.__getitem__, c)) for c in clauses)
 
 
 def substitute(incomplete: Formula, complete: Formula, guards: Formula,
                alloc: Optional[VarAllocator] = None) -> Formula:
     """incomplete x guards u complete. With alloc, both parts are first
     renamed by one mapping, old ids ascending onto the allocator's next ids;
-    unlike fresh_copy, the allocator is not bumped past the old ids."""
-    if alloc is not None:
-        mapping = {v: alloc.fresh()
-                   for v in sorted(incomplete.vars | complete.vars)}
-        incomplete = rename(incomplete, mapping)
-        complete = rename(complete, mapping)
-    return product(incomplete, guards).union(complete)
+    unlike fresh_copy, the allocator is not bumped past the old ids. The
+    renamed copy of incomplete is never built: each of its product clauses
+    is one union of a guard clause with the renamed literals."""
+    if alloc is None:
+        return product(incomplete, guards).union(complete)
+    mapping = {v: alloc.fresh()
+               for v in sorted(incomplete.vars | complete.vars)}
+    table = _literal_table(mapping)
+    incomplete_vars = frozenset(map(mapping.__getitem__, incomplete.vars))
+    _check_disjoint(incomplete_vars, guards.vars)
+    glued = frozenset(g.union(map(table.__getitem__, c))
+                      for c in incomplete.clauses for g in guards.clauses)
+    # Disjointness makes collisions impossible; guard against regressions.
+    assert len(glued) == len(incomplete) * len(guards)
+    variables = frozenset(map(mapping.__getitem__, complete.vars))
+    if glued:
+        variables |= incomplete_vars | guards.vars
+    return Formula._of(glued.union(_renamed(complete.clauses, table)),
+                       variables)

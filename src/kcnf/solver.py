@@ -408,7 +408,7 @@ def verify_instance(f: Formula, k: int, s: Optional[int] = None,
     widths = tuple(sorted(f.widths()))
     census = occurrence_census(f)
     report = VerifyReport(
-        n=len(f.vars),
+        n=len(census.total),   # the variables that occur
         m=len(f),
         k=k,
         width_uniform=widths in ((), (k,)),

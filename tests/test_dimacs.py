@@ -85,6 +85,13 @@ def test_duplicate_clauses_collapse():
     ("p cnf 2 1\n1 2 0\n2\n", "unterminated clause at end of input"),
     ("p cnf 2 1\n2 1\n-1 0\n", "tautological clause: contains both 1 and -1"),
     ("c only a comment\n", "missing 'p cnf' header"),
+    # two faults: the one the reader meets first is named
+    ("p cnf 1 1\n1 x 0\np cnf 1 1\n", "line 2: bad token 'x'"),
+    ("p cnf 1 1\np cnf 1 1\n1 x 0\n", "line 2: duplicate header"),
+    ("p cnf 2 1\n1 x\n3 0\n", "line 2: bad token 'x'"),
+    ("p cnf 2 2\n1 -1 0\n3 0\n", "literal 3 exceeds declared variable count 2"),
+    ("p cnf 3 2\n1 -1 0\n2 -2 0\n",
+     "tautological clause: contains both 1 and -1"),
 ])
 def test_read_error_messages(text, message):
     with pytest.raises(DimacsError) as info:

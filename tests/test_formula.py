@@ -1,6 +1,7 @@
 """Clause/formula invariants, complete formulas, products, censuses."""
 
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from kcnf.formula import (
     substitute,
     width_partition,
 )
-from kcnf.solver import enumerate_models
+from kcnf.solver import enumerate_models, verify_instance
 
 
 def test_make_clause_rejects_zero():
@@ -250,6 +251,40 @@ def test_substitute_matches_product_then_union(case):
     assert got == product(rename(incomplete, mapping), g).union(
         rename(complete, mapping))
     assert alloc.next_id == start + len(old)
+
+
+def _scanned_vars(f):
+    return frozenset(map(abs, chain.from_iterable(f.clauses)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(substitution_st)
+def test_carried_vars_are_exact(case):
+    guard_ids, inc, comp, guards, offset = case
+    incomplete, complete, g = Formula(inc), Formula(comp), Formula(guards)
+    empty, bottom = Formula([]), Formula([[]])
+    old = sorted(incomplete.vars | complete.vars)
+    mapping = dict(zip(old, reversed(range(max(guard_ids) + 1,
+                                           max(guard_ids) + 1 + len(old)))))
+    alloc = None if offset is None else VarAllocator(max(guard_ids) + offset)
+    renamed = rename(incomplete, mapping)
+    products = [product(a, b) for a in (renamed, empty, bottom)
+                for b in (g, empty, bottom)]
+    results = [
+        renamed,
+        rename(complete, mapping),
+        *products,
+        # every operand of these unions has read its .vars, so each carries
+        renamed.union(*products),
+        complete.union(g, empty, bottom),
+        substitute(incomplete, complete, g, alloc),
+        substitute(empty, complete, g, alloc),
+        substitute(incomplete, complete, empty, alloc),
+        substitute(bottom, complete, g, alloc),
+    ]
+    for f in results:
+        assert f.vars == _scanned_vars(f)
+        assert verify_instance(f, 4).n == len(f.vars)
 
 
 def test_union_takes_any_number_of_formulas():

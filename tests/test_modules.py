@@ -67,3 +67,15 @@ def test_every_top_level_name_is_used(path):
                 word.search(text) for p, text in texts.items() if p != path):
             unused.append(f"{name} (line {first})")
     assert not unused, f"{path.name} defines but never names {unused}"
+
+
+@pytest.mark.parametrize("path", [p for p in SEARCHED if p != SRC / "formula.py"],
+                         ids=lambda p: p.parent.name + "/" + p.name)
+def test_formula_constructor_stays_private(path):
+    # Formula._of trusts its clauses and the variable set it is handed, so
+    # only formula.py may build a formula through it or set that set
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    touched = [f"{node.attr} (line {node.lineno})" for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)
+               and node.attr in ("_of", "_vars")]
+    assert not touched, f"{path.name} reaches into Formula: {touched}"
