@@ -16,12 +16,12 @@ the occurrence cap s checkable per step:
 Both rules are calls of formula.substitute, F' x G u F'' for a guard formula G.
 
 Splitting is only sound under the cap when the split variables of F' do not
-already occur elsewhere; the restricted mode enforces the structural
-condition (every F'-variable in every F'-clause and in no F''-clause), which
-holds exactly for the axiom and chains of splits; it is checked when a
-restricted split is applied, not when a state is made. The literal mode
-performs the textual operation regardless, which lets one exhibit the
-occurrence overflow that motivates the restriction.
+already occur elsewhere; the split rule enforces the structural condition
+(every F'-variable in every F'-clause and in no F''-clause), which holds
+exactly for the axiom and chains of splits; it is checked when a split is
+applied, not when a state is made. With `literal` set, a split performs the
+textual operation regardless, which lets one exhibit the occurrence
+overflow that motivates the restriction.
 
 Derivations are recorded as traces, a line-oriented format small enough to
 diff: numbered nodes AXIOM / SPLIT <child> / COMPOSE <left> <right> and a
@@ -42,9 +42,6 @@ from .formula import (
     substitute,
     width_partition,
 )
-
-SPLIT_MODES = ("restricted", "literal")
-
 
 class CalculusError(ValueError):
     """A rule application whose side conditions do not hold."""
@@ -90,17 +87,15 @@ def split_requirement(df: WidthPartition) -> int:
     return 2 * df.size
 
 
-def split(df: WidthPartition, s: int, mode: str = "restricted",
+def split(df: WidthPartition, s: int, literal: bool = False,
           alloc: Optional[VarAllocator] = None) -> WidthPartition:
     """Apply the split rule with a fresh variable; see the module doc."""
-    if mode not in SPLIT_MODES:
-        raise CalculusError(f"unknown split mode {mode!r}")
     if df.is_final:
         raise CalculusError("cannot split a finished derivation")
     need = split_requirement(df)
     if need > s:
         raise CalculusError(f"split needs s >= {need}, have s = {s}")
-    if mode == "restricted" and not _splittable(df.incomplete, df.complete):
+    if not literal and not _splittable(df.incomplete, df.complete):
         raise CalculusError(
             "restricted split: F' variables must fill F' and avoid F''")
     alloc = _ensure_alloc(alloc, df.formula)
@@ -250,7 +245,7 @@ class TraceAnnotation:
 
 
 def annotate_trace(trace: DerivTrace, k: int,
-                   mode: str = "restricted") -> TraceAnnotation:
+                   literal: bool = False) -> TraceAnnotation:
     """Recompute (width, |F'|, clause total) bottom-up and validate every
     side condition.
 
@@ -258,8 +253,6 @@ def annotate_trace(trace: DerivTrace, k: int,
     annotating is cheap even when the sizes are astronomical. The final
     node must reach width k and every node must feed into it.
     """
-    if mode not in SPLIT_MODES:
-        raise CalculusError(f"unknown split mode {mode!r}")
     if k < 1:
         raise CalculusError("k must be positive")
     infos: List[NodeInfo] = []
@@ -271,7 +264,7 @@ def annotate_trace(trace: DerivTrace, k: int,
             cw, cm = infos[c].width, infos[c].size
             if cw >= k:
                 raise CalculusError(f"node {i}: splitting a finished node")
-            if mode == "restricted" and trace.nodes[c].op == OP_COMPOSE:
+            if not literal and trace.nodes[c].op == OP_COMPOSE:
                 raise CalculusError(
                     f"node {i}: restricted split of a composed node")
             w = cw + 1

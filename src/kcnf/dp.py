@@ -515,8 +515,7 @@ def feasible(k: int, s: int, literal: bool = False) -> Optional[DerivTrace]:
     root = _frontier_threshold(k, literal, bound=t)
     if root is not None:
         trace = _trace_from_piece(root)
-        mode = "literal" if literal else "restricted"
-        if annotate_trace(trace, k, mode=mode).required_s == t:
+        if annotate_trace(trace, k, literal).required_s == t:
             return trace
     return _trace_from_piece(_search_witness(k, t, literal))
 
@@ -557,7 +556,7 @@ def _trace_from_piece(root: _Piece) -> DerivTrace:
 
 
 def materialize(trace: DerivTrace, k: int, s: int,
-                mode: str = "restricted") -> Formula:
+                literal: bool = False) -> Formula:
     """Execute a trace into an actual formula, checking it against the plan.
 
     Every reference expands to its own fresh-variable copy, which is what
@@ -566,7 +565,7 @@ def materialize(trace: DerivTrace, k: int, s: int,
     end the formula must be width-uniform at k with no variable above s
     occurrences.
     """
-    ann = annotate_trace(trace, k, mode=mode)
+    ann = annotate_trace(trace, k, literal)
     if ann.required_s > s:
         raise MaterializeError(
             f"trace needs s >= {ann.required_s}, asked to build at s = {s}")
@@ -590,7 +589,7 @@ def materialize(trace: DerivTrace, k: int, s: int,
         if node.op == OP_AXIOM:
             df = axiom(k)
         elif node.op == OP_SPLIT:
-            df = split(built.pop(), s, mode=mode, alloc=alloc)
+            df = split(built.pop(), s, literal, alloc)
         else:
             right = built.pop()
             df = compose(built.pop(), right, s, alloc=alloc)

@@ -231,16 +231,10 @@ def occurrence_census(f: Formula) -> OccurrenceCensus:
 
 
 class VarAllocator:
-    """Monotone source of fresh variable ids, scoped to one construction."""
+    """Monotone source of fresh variable ids from 1, for one construction."""
 
-    def __init__(self, start: int = 1):
-        if start < 1:
-            raise ValueError("variable ids start at 1")
-        self._next = start
-
-    @property
-    def next_id(self) -> int:
-        return self._next
+    def __init__(self) -> None:
+        self._next = 1
 
     def fresh(self) -> int:
         v = self._next

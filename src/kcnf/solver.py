@@ -365,11 +365,7 @@ class VerifyReport:
     max_occurrence: int
     occ_cap: Optional[int] = None
     occ_ok: Optional[bool] = None
-    status: Optional[str] = None
-    witness: Optional[Assignment] = None
-    decisions: int = 0
-    propagations: int = 0
-    conflicts: int = 0
+    result: Optional[SolveResult] = None   # set when the solver ran
 
     @property
     def ok(self) -> bool:
@@ -377,7 +373,7 @@ class VerifyReport:
             return False
         if self.occ_ok is False:
             return False
-        if self.status is not None and self.status != UNSAT:
+        if self.result is not None and self.result.status != UNSAT:
             return False
         return True
 
@@ -393,10 +389,11 @@ class VerifyReport:
         if self.occ_cap is not None:
             out.append(f"occurrence_cap = {self.occ_cap} "
                        f"({'ok' if self.occ_ok else 'exceeded'})")
-        if self.status is not None:
-            out.append(f"solver = {self.status}")
-            if self.status == SAT and self.witness is not None:
-                lits = [v if val else -v for v, val in sorted(self.witness.items())]
+        res = self.result
+        if res is not None:
+            out.append(f"solver = {res.status}")
+            if res.status == SAT and res.witness is not None:
+                lits = [v if val else -v for v, val in sorted(res.witness.items())]
                 out.append("model = " + " ".join(map(str, lits)))
         return out
 
@@ -419,10 +416,5 @@ def verify_instance(f: Formula, k: int, s: Optional[int] = None,
         report.occ_cap = s
         report.occ_ok = census.max_occurrence <= s
     if run_solver:
-        res = solve(f, budget=budget)
-        report.status = res.status
-        report.witness = res.witness
-        report.decisions = res.decisions
-        report.propagations = res.propagations
-        report.conflicts = res.conflicts
+        report.result = solve(f, budget=budget)
     return report

@@ -189,11 +189,11 @@ def test_07_composition_law():
     # cap (shared variable reaches 4 occurrences) and the restricted rule
     # refuses it outright
     g = compose(axiom(2), split(axiom(2), 3), 3)
-    overflow = split(g, 3, mode="literal")
+    overflow = split(g, 3, literal=True)
     if occurrence_census(overflow.formula).max_occurrence != 4:
         bad.append("counterexample census")
     try:
-        split(g, 3, mode="restricted")
+        split(g, 3)
         bad.append("restricted split accepted")
     except CalculusError:
         pass

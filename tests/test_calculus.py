@@ -108,20 +108,16 @@ class TestSplit:
         alloc = VarAllocator()
         df = split(axiom(5), 100, alloc=alloc)
         df = split(df, 100, alloc=alloc)
-        n0 = alloc.next_id
         before = df.size
-        df = split(df, 100, alloc=alloc)
-        census = occurrence_census(df.formula)
+        res = split(df, 100, alloc=alloc)
+        (n0,) = res.formula.vars - df.formula.vars
+        census = occurrence_census(res.formula)
         assert census.total[n0] == 2 * before
 
     def test_cannot_split_final(self):
         df = as_derived(complete_formula([1]), 1)
         with pytest.raises(CalculusError):
             split(df, 100)
-
-    def test_bad_mode(self):
-        with pytest.raises(CalculusError):
-            split(axiom(2), 10, mode="fast")
 
 
 class TestCompose:
@@ -152,7 +148,7 @@ class TestCompose:
         with pytest.raises(CalculusError):
             split(x1, 3)
         # the unrestricted version goes through but blows the cap
-        lit = split(x1, 3, mode="literal")
+        lit = split(x1, 3, literal=True)
         assert occurrence_census(lit.formula).max_occurrence == 4
 
     def test_requirement_examples(self):
@@ -237,10 +233,9 @@ class TestRandomDerivations:
                     if not cands:
                         continue
                     df = rng.choice(cands)
-                    alloc.ensure_above(df.formula.vars)
-                    n0 = alloc.next_id
                     before = df.size
                     res = split(df, big, alloc=alloc)
+                    (n0,) = res.formula.vars - df.formula.vars
                     assert occurrence_census(res.formula).total[n0] \
                         == 2 * before
                     pool.append(res)
@@ -250,12 +245,13 @@ class TestRandomDerivations:
                     d2 = rng.choice(wider)
                     if d2.formula.vars & d1.formula.vars:
                         d2 = as_derived(fresh_copy(d2.formula, alloc), k)
-                    alloc.ensure_above(d1.formula.vars | d2.formula.vars)
-                    n0 = alloc.next_id
                     d = k - d2.width
                     need = compose_requirement(k, d1.width, d2.width,
                                                d1.size, d2.size)
                     res = compose(d1, d2, big, alloc=alloc)
+                    # the block is drawn first: the d least fresh ids
+                    n0 = min(res.formula.vars - d1.formula.vars
+                             - d2.formula.vars)
                     census = occurrence_census(res.formula)
                     for v in range(n0, n0 + d):
                         assert census.total[v] == need
@@ -358,7 +354,7 @@ class TestAnnotation:
                 "5 SPLIT 4\n6 COMPOSE 5 5\nFINAL 6\n")
         with pytest.raises(CalculusError):
             annotate_trace(parse_trace(text), 3)
-        ann = annotate_trace(parse_trace(text), 3, mode="literal")
+        ann = annotate_trace(parse_trace(text), 3, literal=True)
         assert ann.nodes[5].requirement == 2
         # the binding step is node 4: one axiom copy against the 4-chain
         assert ann.required_s == 5

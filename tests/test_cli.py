@@ -104,7 +104,40 @@ class TestConstruct:
         assert "error:" in err
 
 
+_VERIFY_PINS = {
+    "unsat": (write_dimacs(complete_formula([1, 2, 3])),
+              ["--k", "3", "--max-occ", "8", "--solve"], 0,
+              "n = 3\nm = 8\nwidth_uniform_k3 = yes\nmax_occurrence = 8\n"
+              "occurrence_cap = 8 (ok)\nsolver = UNSAT\n"),
+    "sat": (write_dimacs(almost_complete_formula([1, 2, 3])),
+            ["--k", "3", "--solve"], 1,
+            "n = 3\nm = 7\nwidth_uniform_k3 = yes\nmax_occurrence = 7\n"
+            "solver = SAT\nmodel = -1 -2 -3\n"),
+    "timeout": (write_dimacs(complete_formula(range(1, 7))),
+                ["--k", "6", "--solve", "--budget", "0"], 1,
+                "n = 6\nm = 64\nwidth_uniform_k6 = yes\nmax_occurrence = 64\n"
+                "solver = TIMEOUT\n"),
+    "widths": ("p cnf 3 3\n1 2 0\n-1 2 3 0\n-2 0\n",
+               ["--k", "3"], 1,
+               "n = 3\nm = 3\nwidth_uniform_k3 = no\nwidths = 1,2,3\n"
+               "max_occurrence = 3\n"),
+    "cap": (write_dimacs(complete_formula([1, 2])),
+            ["--k", "2", "--max-occ", "3"], 1,
+            "n = 2\nm = 4\nwidth_uniform_k2 = yes\nmax_occurrence = 4\n"
+            "occurrence_cap = 3 (exceeded)\n"),
+}
+
+
 class TestVerify:
+    @pytest.mark.parametrize("case", sorted(_VERIFY_PINS))
+    def test_report_bytes_pinned(self, capsys, tmp_path, case):
+        # the whole report and exit code of each report shape
+        text, argv, want_code, want_out = _VERIFY_PINS[case]
+        path = tmp_path / "f.cnf"
+        path.write_text(text)
+        code, out, _ = invoke(capsys, "verify", str(path), *argv)
+        assert (code, out) == (want_code, want_out)
+
     def test_satisfiable_file_reports_witness(self, capsys, tmp_path):
         path = tmp_path / "sat.cnf"
         path.write_text(write_dimacs(almost_complete_formula([1, 2, 3])))

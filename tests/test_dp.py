@@ -80,8 +80,7 @@ def _frontier_witness(k, literal, t, bound=None):
     if root is None:
         return None
     trace = _trace_from_piece(root)
-    mode = "literal" if literal else "restricted"
-    if annotate_trace(trace, k, mode=mode).required_s != t:
+    if annotate_trace(trace, k, literal).required_s != t:
         return None
     return serialize_trace(trace)
 
@@ -144,8 +143,7 @@ class TestF2Value:
         assert root.width == 1 and root.req == 2
         trace = _trace_from_piece(root)
         assert serialize_trace(trace) == "0 AXIOM\n1 COMPOSE 0 0\nFINAL 1\n"
-        mode = "literal" if literal else "restricted"
-        assert annotate_trace(trace, 1, mode=mode).required_s == 2
+        assert annotate_trace(trace, 1, literal).required_s == 2
 
     def test_guess_only_steers_the_search(self):
         for k in range(1, 33):
@@ -199,7 +197,7 @@ class TestFeasible:
         tr = feasible(3, 8)
         assert serialize_trace(tr) == (
             "0 AXIOM\n1 SPLIT 0\n2 SPLIT 1\n3 SPLIT 2\nFINAL 3\n")
-        ann = annotate_trace(tr, 3, mode="restricted")
+        ann = annotate_trace(tr, 3)
         assert ann.required_s == 8
 
     @pytest.mark.parametrize("k", [1, 2, 5, 12])
@@ -213,7 +211,7 @@ class TestFeasible:
         for k in (2, 3, 4, 5, 6, 8, 10, 16):
             f2 = f2_value(k)
             tr = feasible(k, f2 + 1)
-            ann = annotate_trace(tr, k, mode="restricted")
+            ann = annotate_trace(tr, k)
             assert ann.required_s == f2 + 1
             assert ann.nodes[tr.final].width == k
 
@@ -221,7 +219,7 @@ class TestFeasible:
         for k in (4, 5, 6, 12):
             f2 = f2_value(k, literal=True)
             tr = feasible(k, f2 + 1, literal=True)
-            ann = annotate_trace(tr, k, mode="literal")
+            ann = annotate_trace(tr, k, literal=True)
             assert ann.required_s == f2 + 1
 
     def test_literal_witness_meets_threshold_past_53_bits(self):
@@ -231,7 +229,7 @@ class TestFeasible:
         for k in (63, 70):
             f2 = f2_value(k, literal=True)
             tr = feasible(k, f2 + 1, literal=True)
-            ann = annotate_trace(tr, k, mode="literal")
+            ann = annotate_trace(tr, k, literal=True)
             assert ann.required_s == f2 + 1
             assert ann.nodes[tr.final].width == k
             assert feasible(k, f2, literal=True) is None
@@ -283,7 +281,7 @@ class TestFeasible:
         # that is not a plain chain, so restricted annotation rejects it
         tr = feasible(5, 13, literal=True)
         with pytest.raises(CalculusError):
-            annotate_trace(tr, 5, mode="restricted")
+            annotate_trace(tr, 5)
 
     def test_witness_is_deterministic(self):
         a = serialize_trace(feasible(6, 27))
@@ -309,7 +307,7 @@ class TestFeasible:
     def test_any_returned_trace_fits_its_cap(self, k, s):
         tr = feasible(k, s)
         if tr is not None:
-            ann = annotate_trace(tr, k, mode="restricted")
+            ann = annotate_trace(tr, k)
             assert ann.required_s <= s
             assert ann.nodes[tr.final].width == k
 
@@ -346,7 +344,7 @@ class TestMaterialize:
         s = f2_value(4, literal=True) + 1
         tr = feasible(4, s, literal=True)
         with pytest.raises(MaterializeError):
-            materialize(tr, 4, s, mode="literal")
+            materialize(tr, 4, s, literal=True)
 
     def test_clause_total_matches_plan(self):
         k, s = 4, f2_value(4) + 1
@@ -392,7 +390,7 @@ class TestMaterialize:
     def test_mode_mismatch_detected(self):
         tr = feasible(5, 13, literal=True)
         with pytest.raises(CalculusError):
-            materialize(tr, 5, 13, mode="restricted")
+            materialize(tr, 5, 13, literal=False)
 
 
 class TestOracle:

@@ -162,7 +162,8 @@ def test_fresh_copy_is_disjoint_isomorph():
 
 def test_fresh_copy_never_collides_even_with_stale_allocator():
     f = Formula([[10, 11]])
-    alloc = VarAllocator(start=10)  # would collide without the bump
+    alloc = VarAllocator()
+    alloc.fresh_block(9)  # would hand out 10 next, colliding without the bump
     g = fresh_copy(f, alloc)
     assert g.vars.isdisjoint(f.vars)
 
@@ -232,6 +233,13 @@ substitution_st = st.lists(
               st.one_of(st.none(), st.integers(min_value=1, max_value=3)))))
 
 
+def _allocator_at(start):
+    """An allocator whose next fresh id is start."""
+    alloc = VarAllocator()
+    alloc.ensure_above([start - 1])
+    return alloc
+
+
 @settings(max_examples=300, deadline=None)
 @given(substitution_st)
 def test_substitute_matches_product_then_union(case):
@@ -244,13 +252,13 @@ def test_substitute_matches_product_then_union(case):
     # new ids start just above the guard ids, which may lie below the old
     # ids of F' and F'': substitute must not bump the allocator past those
     start = max(guard_ids) + offset
-    alloc = VarAllocator(start)
+    alloc = _allocator_at(start)
     got = substitute(incomplete, complete, g, alloc)
     old = sorted(incomplete.vars | complete.vars)
     mapping = dict(zip(old, range(start, start + len(old))))
     assert got == product(rename(incomplete, mapping), g).union(
         rename(complete, mapping))
-    assert alloc.next_id == start + len(old)
+    assert alloc.fresh() == start + len(old)
 
 
 def _scanned_vars(f):
@@ -266,7 +274,7 @@ def test_carried_vars_are_exact(case):
     old = sorted(incomplete.vars | complete.vars)
     mapping = dict(zip(old, reversed(range(max(guard_ids) + 1,
                                            max(guard_ids) + 1 + len(old)))))
-    alloc = None if offset is None else VarAllocator(max(guard_ids) + offset)
+    alloc = None if offset is None else _allocator_at(max(guard_ids) + offset)
     renamed = rename(incomplete, mapping)
     products = [product(a, b) for a in (renamed, empty, bottom)
                 for b in (g, empty, bottom)]

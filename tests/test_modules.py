@@ -79,3 +79,30 @@ def test_formula_constructor_stays_private(path):
                if isinstance(node, ast.Attribute)
                and node.attr in ("_of", "_vars")]
     assert not touched, f"{path.name} reaches into Formula: {touched}"
+
+
+def _dataclass_fields(tree, name):
+    (cls,) = [node for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) and node.name == name]
+    return {node.target.id for node in cls.body
+            if isinstance(node, ast.AnnAssign)}
+
+
+def test_each_decision_has_one_encoding():
+    # the split rule is chosen by the `literal` flag, never by a mode
+    # string, and the verify report holds the solver's result rather than
+    # copies of its fields
+    with_mode = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                names = [a.arg for a in
+                         args.posonlyargs + args.args + args.kwonlyargs]
+                if "mode" in names:
+                    with_mode.append(f"{path.name}:{node.name}")
+    assert not with_mode, f"functions with a mode parameter: {with_mode}"
+    solver = ast.parse((SRC / "solver.py").read_text(encoding="utf-8"))
+    copied = (_dataclass_fields(solver, "VerifyReport")
+              & _dataclass_fields(solver, "SolveResult"))
+    assert not copied, f"VerifyReport copies SolveResult's {sorted(copied)}"

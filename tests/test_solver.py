@@ -309,16 +309,17 @@ def test_satisfies_requires_total_assignment():
 def test_verify_instance_uniform_unsat():
     f = complete_formula([1, 2, 3])
     rep = verify_instance(f, 3, s=8, run_solver=True)
-    assert rep.width_uniform and rep.occ_ok and rep.status == UNSAT
+    assert rep.width_uniform and rep.occ_ok and rep.result.status == UNSAT
     assert rep.n == 3 and rep.m == 8 and rep.max_occurrence == 8
-    assert (rep.decisions, rep.propagations, rep.conflicts) == (3, 7, 3)
+    res = rep.result
+    assert (res.decisions, res.propagations, res.conflicts) == (3, 7, 3)
     assert rep.ok
 
 
 def test_verify_instance_sat_reported():
     rep = verify_instance(Formula([[1, 2, 3]]), 3, run_solver=True)
     assert rep.width_uniform
-    assert rep.status == SAT
+    assert rep.result.status == SAT
     assert not rep.ok
 
 
