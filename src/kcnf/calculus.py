@@ -2,18 +2,17 @@
 
 A derivation state is an unsatisfiable formula F = F' u F'' where F'' is the
 part already at width k and F' (never empty before the end) is width-uniform
-at some w < k; it is held as a formula.WidthPartition, which as_derived
-checks. The state is summarized by (w, |F'|); both rules below track
-exactly how many clauses each fresh variable lands in, which is what makes
-the occurrence cap s checkable per step:
+at some w < k. It is held as a formula.WidthPartition of F' and F'', and
+each rule builds the next one from its operands' parts by formula.substitute,
+F' x G u F'' for a guard formula G. The state is summarized by (w, |F'|);
+both rules below track exactly how many clauses each fresh variable lands
+in, which is what makes the occurrence cap s checkable per step:
 
   split    F -> F' x {{x},{!x}} u F''        needs s >= 2|F'|
   compose  F1 (at w1), F2 (at w2), w1 <= w2 < k:
            glue 2^d - 1 fresh copies of F1 (d = k - w2), one per clause of
            K^-(X) over a fresh d-block X, plus F2' x {{X}} u F2''.
                                              needs s >= (2^d - 1)|F1'| + |F2'|
-
-Both rules are calls of formula.substitute, F' x G u F'' for a guard formula G.
 
 Splitting is only sound under the cap when the split variables of F' do not
 already occur elsewhere; the split rule enforces the structural condition
@@ -47,22 +46,6 @@ class CalculusError(ValueError):
     """A rule application whose side conditions do not hold."""
 
 
-def as_derived(formula: Formula, k: int) -> WidthPartition:
-    """Classify a formula as a derivation state, recomputing everything.
-
-    Raises if the sub-width part is not width-uniform; mixed widths never
-    arise from the rules and have no (w, |F'|) summary.
-    """
-    if k < 1:
-        raise CalculusError("k must be positive")
-    part = width_partition(formula, k)
-    widths = part.incomplete.widths()
-    if len(widths) > 1:
-        raise CalculusError(
-            f"sub-width part has mixed widths {sorted(widths)}")
-    return part
-
-
 def _splittable(incomplete: Formula, complete: Formula) -> bool:
     """Every F' variable is in every F' clause (all F' clauses share one
     variable set), and no F' variable is in F''."""
@@ -72,14 +55,16 @@ def _splittable(incomplete: Formula, complete: Formula) -> bool:
 
 def axiom(k: int) -> WidthPartition:
     """The starting state: just the empty clause."""
-    return as_derived(Formula([[]]), k)
+    return width_partition(Formula([[]]), k)
 
 
-def _ensure_alloc(alloc: Optional[VarAllocator], *formulas: Formula) -> VarAllocator:
+def _ensure_alloc(alloc: Optional[VarAllocator],
+                  *dfs: WidthPartition) -> VarAllocator:
     if alloc is None:
         alloc = VarAllocator()
-    for f in formulas:
-        alloc.ensure_above(f.vars)
+    for df in dfs:
+        alloc.ensure_above(df.incomplete.vars)
+        alloc.ensure_above(df.complete.vars)
     return alloc
 
 
@@ -98,9 +83,8 @@ def split(df: WidthPartition, s: int, literal: bool = False,
     if not literal and not _splittable(df.incomplete, df.complete):
         raise CalculusError(
             "restricted split: F' variables must fill F' and avoid F''")
-    alloc = _ensure_alloc(alloc, df.formula)
-    guards = complete_formula([alloc.fresh()])
-    return as_derived(substitute(df.incomplete, df.complete, guards), df.k)
+    alloc = _ensure_alloc(alloc, df)
+    return substitute(df, complete_formula([alloc.fresh()]))
 
 
 def compose_requirement(k: int, k1: int, k2: int, m1: int, m2: int) -> int:
@@ -118,24 +102,6 @@ def compose(df1: WidthPartition, df2: WidthPartition, s: int,
     first on df1's own variables). Every fresh block variable ends up in
     exactly (2^d - 1)|F1'| + |F2'| clauses, which must be within s.
     """
-    _check_compose_operands(df1, df2)
-    k = df1.k
-    need = compose_requirement(k, df1.width, df2.width, df1.size, df2.size)
-    if need > s:
-        raise CalculusError(f"compose needs s >= {need}, have s = {s}")
-    alloc = _ensure_alloc(alloc, df1.formula, df2.formula)
-    d = k - df2.width
-    block = alloc.fresh_block(d)
-
-    first, *rest = almost_complete_formula(block).canonical_clauses()
-    result = substitute(df1.incomplete, df1.complete, Formula([first])).union(
-        *[substitute(df1.incomplete, df1.complete, Formula([guard]), alloc)
-          for guard in rest],
-        substitute(df2.incomplete, df2.complete, Formula([block])))
-    return as_derived(result, k)
-
-
-def _check_compose_operands(df1: WidthPartition, df2: WidthPartition) -> None:
     if df1.k != df2.k:
         raise CalculusError(f"mixed k: {df1.k} vs {df2.k}")
     if df1.is_final or df2.is_final:
@@ -144,8 +110,22 @@ def _check_compose_operands(df1: WidthPartition, df2: WidthPartition) -> None:
         raise CalculusError(
             f"compose needs width(left) <= width(right), "
             f"got {df1.width} > {df2.width}")
-    if df1.formula.vars & df2.formula.vars:
+    if not all(a.vars.isdisjoint(b.vars)
+               for a in (df1.incomplete, df1.complete)
+               for b in (df2.incomplete, df2.complete)):
         raise CalculusError("compose operands share variables")
+    k = df1.k
+    need = compose_requirement(k, df1.width, df2.width, df1.size, df2.size)
+    if need > s:
+        raise CalculusError(f"compose needs s >= {need}, have s = {s}")
+    alloc = _ensure_alloc(alloc, df1, df2)
+    d = k - df2.width
+    block = alloc.fresh_block(d)
+    # join onto df2's state: its F'' is often the largest, so copy it first
+    first, *rest = almost_complete_formula(block).canonical_clauses()
+    return substitute(df2, Formula([block])).union(
+        substitute(df1, Formula([first])),
+        *[substitute(df1, Formula([guard]), alloc) for guard in rest])
 
 
 # ---------------------------------------------------------------------------

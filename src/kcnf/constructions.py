@@ -25,6 +25,7 @@ from typing import List, Optional, Tuple
 from .formula import (
     Formula,
     VarAllocator,
+    WidthPartition,
     almost_complete_formula,
     complete_formula,
     occurrence_census,
@@ -88,7 +89,7 @@ def _step_stats(k: int, l: int, kj: int, d: int,
     )
 
 
-def _step(k: int, kj: int, d: int, prev: Formula) -> Formula:
+def _step(k: int, kj: int, d: int, prev: WidthPartition) -> WidthPartition:
     """Substitute u = floor(kj/d) guarded copies of prev into a core.
 
     The core is K(z) x prod K^-(x_b) over a z-block of kj - u*d variables
@@ -100,25 +101,26 @@ def _step(k: int, kj: int, d: int, prev: Formula) -> Formula:
     the u renamed copies of prev (sorted old id -> new id within each copy).
     """
     u = kj // d
-    prev_split = width_partition(prev, k)
     alloc = VarAllocator()
     z_block = alloc.fresh_block(kj - u * d)
     x_blocks = [alloc.fresh_block(d) for _ in range(u)]
     core = complete_formula(z_block)
     for xb in x_blocks:
         core = product(core, almost_complete_formula(xb))
-    return core.union(*[substitute(prev_split.incomplete, prev_split.complete,
-                                   Formula([xb]), alloc) for xb in x_blocks])
+    parts = (core, Formula([])) if kj < k else (Formula([]), core)
+    return WidthPartition(k, *parts).union(
+        *[substitute(prev, Formula([xb]), alloc) for xb in x_blocks])
 
 
-def _check(formula: Formula, st: ConstructionStats, kj: int) -> None:
-    """Assert st's exact counts, and width kj for every clause below st.k."""
-    part = width_partition(formula, st.k)
+def _check(part: WidthPartition, st: ConstructionStats, kj: int) -> Formula:
+    """Assert st's exact counts and width kj below st.k; return the formula."""
+    formula = part.formula
     assert len(formula) == st.m, "clause collision in construction"
     assert len(formula.vars) == st.n
     assert occurrence_census(formula).max_occurrence == st.max_occurrence
     assert part.size == st.incomplete_size
     assert part.incomplete.is_width_uniform(kj)
+    return formula
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +153,8 @@ def lemma1_build(k: int, l: int) -> Tuple[Formula, ConstructionStats]:
     if stats.m > DEFAULT_CLAUSE_CAP:
         raise ConstructionSizeError(
             f"k={k}, l={l} needs {stats.m} clauses (cap {DEFAULT_CLAUSE_CAP})")
-    formula = _step(k, k, l, complete_formula(range(1, k - l + 1)))
-    _check(formula, stats, k)
-    return formula, stats
+    base = width_partition(complete_formula(range(1, k - l + 1)), k)
+    return _check(_step(k, k, l, base), stats, k), stats
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +202,13 @@ def lemma2_build(k: int, l: int) -> List[Tuple[Formula, ConstructionStats]]:
                                     f"one stage (cap {DEFAULT_CLAUSE_CAP})")
     s_bound = lemma2_occurrence_bound(k, l)
 
-    stages = [(complete_formula(range(1, k - l + 1)), expected[0])]
+    part = width_partition(complete_formula(range(1, k - l + 1)), k)
+    stages = [(part.formula, expected[0])]
     for j in range(1, l + 1):
         kj = k - l + j
-        formula = _step(k, kj, l - j + 1, stages[-1][0])
-        _check(formula, expected[j], kj)
+        part = _step(k, kj, l - j + 1, part)
+        stages.append((_check(part, expected[j], kj), expected[j]))
         assert expected[j].max_occurrence <= s_bound
-        stages.append((formula, expected[j]))
     return stages
 
 

@@ -598,19 +598,20 @@ def materialize(trace: DerivTrace, k: int, s: int,
             raise MaterializeError(
                 f"node {i} realized |F'| = {df.size}, annotation says "
                 f"{info.size}")
-        if len(df.formula) != info.clauses:
+        realized = df.size + len(df.complete)
+        if realized != info.clauses:
             raise MaterializeError(
-                f"node {i} realized {len(df.formula)} clauses, annotation "
-                f"says {info.clauses}")
+                f"node {i} realized {realized} clauses, annotation says "
+                f"{info.clauses}")
         built.append(df)
     # annotate_trace put the final node at width k, so its |F'| is 0
-    result = built.pop()
-    census = occurrence_census(result.formula)
+    formula = built.pop().formula
+    census = occurrence_census(formula)
     if census.max_occurrence > s:
         raise MaterializeError(
             f"materialized formula has a variable in {census.max_occurrence} "
             f"clauses, cap is {s}")
-    return result.formula
+    return formula
 
 
 # ---------------------------------------------------------------------------

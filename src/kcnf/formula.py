@@ -19,20 +19,20 @@ no variable. Checking them again would repeat the whole per-literal scan
 at every step of a construction.
 
 The same operations hand on the variable set, so a built formula is not
-scanned again for it. product, rename and substitute always carry an
-exact set: a renaming maps the variables of its operand, and every clause
-of a product operand is in some product clause unless the other operand
-has no clauses (the product is then empty). union carries the union of
-its operands' sets only when each operand already knows its own; it never
-scans to learn one. K^- and the pieces of a width partition learn theirs
-on first use of .vars.
+scanned again for it. product, rename and substitute (for each part of the
+state it returns) carry an exact set: a renaming maps the variables of its
+operand, and every clause of a product operand is in some product clause
+unless the other operand has no clauses (the product is then empty). union
+carries the union of its operands' sets only when each operand knows its
+own; it never scans to learn one. K^- and the parts that width_partition
+splits off a formula from outside learn theirs on first use of .vars.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain
 from operator import neg
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
@@ -173,21 +173,26 @@ def _check_disjoint(vars1: FrozenSet[int], vars2: FrozenSet[int]) -> None:
 
 @dataclass(frozen=True)
 class WidthPartition:
-    """A formula split at width k into F' (width < k) and F'' (width == k).
+    """A derivation state, held as F' (width < k, one width) and F'' (k).
 
-    This is the derivation state of the calculus and of the construction
-    step: both act on F' and keep F'' as it is.
+    The calculus rules and the construction step act on F' and keep F''.
+    width_partition checks a formula from outside; substitute keeps the form.
     """
 
-    formula: Formula
     k: int
     incomplete: Formula     # F'
     complete: Formula       # F''
 
     @property
+    def formula(self) -> Formula:
+        """F' u F'', joined on each call: a state keeps only its parts."""
+        if not self.incomplete.clauses:
+            return self.complete
+        return self.incomplete.union(self.complete)
+
+    @property
     def width(self) -> int:
-        """Width of F' (uniform in a derivation state, which as_derived
-        checks), or k once F' is empty."""
+        """Width of F', or k once F' is empty."""
         return next(map(len, self.incomplete.clauses), self.k)
 
     @property
@@ -199,20 +204,25 @@ class WidthPartition:
     def is_final(self) -> bool:
         return not self.incomplete.clauses
 
+    def union(self, *others: "WidthPartition") -> "WidthPartition":
+        return WidthPartition(
+            self.k, self.incomplete.union(*[p.incomplete for p in others]),
+            self.complete.union(*[p.complete for p in others]))
+
 
 def width_partition(f: Formula, k: int) -> WidthPartition:
-    """Partition clauses into width < k and width == k; wider is an error."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    widths = list(map(len, f.clauses))  # a frozenset iterates in one order
+    """Split a formula from outside into a state: clauses of width < k,
+    which must share one width, and of width == k; wider is an error."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    widths = f.widths()
     if max(widths, default=0) > k:
-        wide = next(w for w in widths if w > k)
-        raise ValueError(f"clause of width {wide} exceeds k={k}")
-    narrow = compress(f.clauses, map(k.__gt__, widths))
-    full = compress(f.clauses, map(k.__eq__, widths))
-    return WidthPartition(formula=f, k=k,
-                          incomplete=Formula._of(frozenset(narrow)),
-                          complete=Formula._of(frozenset(full)))
+        raise ValueError(f"clause of width {max(widths)} exceeds k={k}")
+    if len(widths - {k}) > 1:
+        raise ValueError(f"F' has mixed widths {sorted(widths - {k})}")
+    narrow = frozenset(c for c in f if len(c) < k)
+    return WidthPartition(k, Formula._of(narrow),
+                          Formula._of(f.clauses - narrow))
 
 
 @dataclass(frozen=True)
@@ -285,26 +295,34 @@ def _renamed(clauses: FrozenSet[Clause],
     return frozenset(frozenset(map(table.__getitem__, c)) for c in clauses)
 
 
-def substitute(incomplete: Formula, complete: Formula, guards: Formula,
-               alloc: Optional[VarAllocator] = None) -> Formula:
-    """incomplete x guards u complete. With alloc, both parts are first
-    renamed by one mapping, old ids ascending onto the allocator's next ids;
-    unlike fresh_copy, the allocator is not bumped past the old ids. The
-    renamed copy of incomplete is never built: each of its product clauses
-    is one union of a guard clause with the renamed literals."""
+def substitute(part: WidthPartition, guards: Formula,
+               alloc: Optional[VarAllocator] = None) -> WidthPartition:
+    """The next state F' x G u F'': the glued clauses form the new F' below
+    width k, and join F'' at k. With alloc, both parts are first renamed by
+    one mapping, old ids ascending onto the allocator's next ids (unlike
+    fresh_copy, without a bump past the old ids), and each glued clause is
+    one union of a guard clause with the renamed literals of an F' clause."""
+    incomplete, complete, k = part.incomplete, part.complete, part.k
     if alloc is None:
-        return product(incomplete, guards).union(complete)
-    mapping = {v: alloc.fresh()
-               for v in sorted(incomplete.vars | complete.vars)}
-    table = _literal_table(mapping)
-    incomplete_vars = frozenset(map(mapping.__getitem__, incomplete.vars))
-    _check_disjoint(incomplete_vars, guards.vars)
-    glued = frozenset(g.union(map(table.__getitem__, c))
-                      for c in incomplete.clauses for g in guards.clauses)
-    # Disjointness makes collisions impossible; guard against regressions.
-    assert len(glued) == len(incomplete) * len(guards)
-    variables = frozenset(map(mapping.__getitem__, complete.vars))
-    if glued:
-        variables |= incomplete_vars | guards.vars
-    return Formula._of(glued.union(_renamed(complete.clauses, table)),
-                       variables)
+        glued = product(incomplete, guards)
+    else:
+        mapping = {v: alloc.fresh()
+                   for v in sorted(incomplete.vars | complete.vars)}
+        table = _literal_table(mapping)
+        incomplete_vars = frozenset(map(mapping.__getitem__, incomplete.vars))
+        _check_disjoint(incomplete_vars, guards.vars)
+        clauses = frozenset(g.union(map(table.__getitem__, c))
+                            for c in incomplete.clauses for g in guards.clauses)
+        # Disjointness makes collisions impossible; guard against regressions.
+        assert len(clauses) == len(incomplete) * len(guards)
+        glued = Formula._of(clauses, incomplete_vars | guards.vars
+                            if clauses else frozenset())
+        complete = Formula._of(_renamed(complete.clauses, table), frozenset(
+            map(mapping.__getitem__, complete.vars)))
+    widths = glued.widths() or {k}
+    if len(widths) > 1 or max(widths) > k:
+        raise ValueError(f"glued clauses need one width <= k={k}, "
+                         f"got {sorted(widths)}")
+    if max(widths) < k:
+        return WidthPartition(k, glued, complete)
+    return WidthPartition(k, Formula([]), complete.union(glued))

@@ -12,7 +12,6 @@ from kcnf.calculus import (
     TraceNode,
     _splittable,
     annotate_trace,
-    as_derived,
     axiom,
     compose,
     compose_requirement,
@@ -21,7 +20,8 @@ from kcnf.calculus import (
     split,
     split_requirement,
 )
-from kcnf.formula import Formula, VarAllocator, complete_formula, fresh_copy, occurrence_census
+from kcnf.formula import (Formula, VarAllocator, complete_formula, fresh_copy,
+                          occurrence_census, width_partition)
 from kcnf.solver import UNSAT, solve
 
 
@@ -59,16 +59,16 @@ class TestDerivedState:
         assert a.formula == Formula([[]])
 
     def test_complete_formula_is_final(self):
-        df = as_derived(complete_formula([1, 2]), 2)
+        df = width_partition(complete_formula([1, 2]), 2)
         assert df.is_final and df.width == 2 and df.size == 0
 
     def test_mixed_subwidth_rejected(self):
-        with pytest.raises(CalculusError):
-            as_derived(Formula([[1], [2, 3]]), 3)
+        with pytest.raises(ValueError, match="mixed widths"):
+            width_partition(Formula([[1], [2, 3]]), 3)
 
     def test_splittable_detection(self):
         def splittable(f, k):
-            df = as_derived(f, k)
+            df = width_partition(f, k)
             return _splittable(df.incomplete, df.complete)
 
         # a pure chain prefix is splittable
@@ -115,7 +115,7 @@ class TestSplit:
         assert census.total[n0] == 2 * before
 
     def test_cannot_split_final(self):
-        df = as_derived(complete_formula([1]), 1)
+        df = width_partition(complete_formula([1]), 1)
         with pytest.raises(CalculusError):
             split(df, 100)
 
@@ -126,7 +126,7 @@ class TestCompose:
         alloc = VarAllocator()
         chain1 = split(axiom(2), 3, alloc=alloc)
         x1 = compose(axiom(2), chain1, 3, alloc=alloc)
-        x1copy = as_derived(fresh_copy(x1.formula, alloc), 2)
+        x1copy = width_partition(fresh_copy(x1.formula, alloc), 2)
         final = compose(x1, x1copy, 3, alloc=alloc)
         return x1, final
 
@@ -173,7 +173,7 @@ class TestCompose:
         # d = 2, so three copies of the axiom guarded by K^- over the block
         assert g.width == 2 and g.size == 3
         assert solve(g.formula).status == UNSAT
-        gcopy = as_derived(fresh_copy(g.formula, alloc), 3)
+        gcopy = width_partition(fresh_copy(g.formula, alloc), 3)
         final = compose(g, gcopy, 100, alloc=alloc)
         assert final.is_final
         assert solve(final.formula).status == UNSAT
@@ -187,7 +187,7 @@ class TestCompose:
             compose(chain1, axiom(3), 100)  # width order violated
         with pytest.raises(CalculusError):
             compose(chain1, chain1, 100)  # shared variables
-        done = as_derived(complete_formula([9]), 1)
+        done = width_partition(complete_formula([9]), 1)
         with pytest.raises(CalculusError):
             compose(done, done, 100)
 
@@ -195,7 +195,7 @@ class TestCompose:
         # width-1 operands at k=3 give d=2: three guarded copies of the left
         alloc = VarAllocator()
         left = split(axiom(3), 100, alloc=alloc)
-        right = as_derived(fresh_copy(left.formula, alloc), 3)
+        right = width_partition(fresh_copy(left.formula, alloc), 3)
         full = compose(left, right, 100, alloc=alloc)
         assert full.width == 3
         assert len(full.formula) == 8
@@ -244,7 +244,7 @@ class TestRandomDerivations:
                     wider = [df for df in open_states if df.width >= d1.width]
                     d2 = rng.choice(wider)
                     if d2.formula.vars & d1.formula.vars:
-                        d2 = as_derived(fresh_copy(d2.formula, alloc), k)
+                        d2 = width_partition(fresh_copy(d2.formula, alloc), k)
                     d = k - d2.width
                     need = compose_requirement(k, d1.width, d2.width,
                                                d1.size, d2.size)

@@ -1,17 +1,20 @@
+import contextlib
 import hashlib
 import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kcnf.calculus import serialize_trace
 from kcnf.cli import run
 from kcnf.constructions import bounds_csv_row, bounds_row
 from kcnf.dimacs import read_dimacs, write_dimacs
-from kcnf.dp import feasible
+from kcnf.dp import f2_value, feasible
 from kcnf.formula import almost_complete_formula, complete_formula
 
 
@@ -246,7 +249,73 @@ class TestF2:
         assert "error:" in err
 
 
+_ARITY = {"AXIOM": 0, "SPLIT": 1, "COMPOSE": 2}
+
+
+@st.composite
+def refused_traces(draw):
+    """(k, s, trace text) that materialize must refuse: random nodes, each
+    naming earlier ones, then one defect that no trace survives."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    s = draw(st.integers(min_value=1, max_value=2 ** k + 2))
+    defect = draw(st.sampled_from([
+        "bad id", "wrong arity", "forward reference", "unknown op",
+        "missing FINAL", "compose of finished", "split of composed",
+        "cap below requirement"]))
+    if defect == "cap below requirement":
+        t = f2_value(k) + 1
+        s = draw(st.integers(min_value=1, max_value=t - 1))
+        return k, s, serialize_trace(feasible(k, t))
+    nodes = [["AXIOM"]]
+    for i in range(1, draw(st.integers(min_value=1, max_value=6))):
+        op = draw(st.sampled_from(sorted(_ARITY)))
+        nodes.append([op] + [str(draw(st.integers(min_value=0,
+                                                   max_value=i - 1)))
+                             for _ in range(_ARITY[op])])
+    i = draw(st.integers(min_value=0, max_value=len(nodes) - 1))
+    n = len(nodes)
+    if defect == "wrong arity":
+        arity = draw(st.integers(min_value=0, max_value=3).filter(
+            lambda a: a != _ARITY[nodes[i][0]]))
+        nodes[i] = [nodes[i][0]] + ["0"] * arity
+    elif defect == "forward reference":
+        nodes[i] = ["SPLIT", str(draw(st.integers(min_value=i,
+                                                  max_value=i + 3)))]
+    elif defect == "unknown op":
+        nodes[i] = [draw(st.sampled_from(["FROB", "axiom", "FINAL"]))]
+    elif defect == "compose of finished":
+        # a split chain reaches width k, then is composed with itself
+        nodes += [["AXIOM"]] + [["SPLIT", str(n + j)] for j in range(k)]
+        nodes.append(["COMPOSE", str(n + k), str(n + k)])
+    elif defect == "split of composed":
+        nodes += [["AXIOM"], ["SPLIT", str(n)],
+                  ["COMPOSE", str(n), str(n + 1)], ["SPLIT", str(n + 2)]]
+    ids = [str(j) for j in range(len(nodes))]
+    if defect == "bad id":
+        ids[i] = draw(st.one_of(
+            st.integers(min_value=-2, max_value=9).filter(lambda v: v != i)
+            .map(str), st.sampled_from(["x", "0x1", "1.0"])))
+    final = [] if defect == "missing FINAL" else [f"FINAL {len(nodes) - 1}"]
+    lines = [" ".join([ident, *node]) for ident, node in zip(ids, nodes)]
+    return k, s, "\n".join(lines + final) + "\n"
+
+
 class TestMaterialize:
+    @settings(max_examples=300, deadline=None)
+    @given(refused_traces())
+    def test_refused_traces_exit_with_an_error_line(self, case):
+        k, s, text = case
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            trace_path, out = Path(tmp, "trace.txt"), Path(tmp, "x.cnf")
+            trace_path.write_text(text)
+            with contextlib.redirect_stderr(err):
+                code = run(["materialize", "--k", str(k), "--s", str(s),
+                            "--trace", str(trace_path), "--out", str(out)])
+            assert not out.exists()
+        assert code in (1, 2), text
+        assert err.getvalue().startswith("error: "), err.getvalue()
+
     def test_witness_within_cap(self, capsys, tmp_path):
         out = tmp_path / "w3.cnf"
         code, text, _ = invoke(capsys, "materialize", "--k", "3", "--s", "5",

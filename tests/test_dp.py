@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import heapq
 import multiprocessing
+import sys
 import types
 
 import pytest
@@ -19,7 +20,9 @@ from kcnf.calculus import (
     serialize_trace,
 )
 import kcnf.dp
+import kcnf.formula
 from kcnf.cli import run
+from kcnf.constructions import lemma1_build, lemma2_build
 from kcnf.dp import (
     DEFAULT_CLAUSE_CAP,
     _frontier_threshold,
@@ -328,6 +331,15 @@ class TestTraceClauseCounts:
         assert [n.clauses for n in annotate_trace(tr, 2).nodes] == [1, 2, 4]
 
 
+def _deep_trace():
+    """3,000 nested composes of the axiom onto a split, then a finish that
+    expands the chain twice."""
+    lines = ["0 AXIOM", "1 SPLIT 0"]
+    lines += [f"{i} COMPOSE 0 {i - 1}" for i in range(2, 3000)]
+    lines += ["3000 COMPOSE 2999 2999", "FINAL 3000"]
+    return parse_trace("\n".join(lines) + "\n")
+
+
 class TestMaterialize:
     def test_witnesses_build_verify_and_refute(self):
         for k in (2, 3, 4, 5):
@@ -335,8 +347,42 @@ class TestMaterialize:
             formula = materialize(feasible(k, s), k, s)
             assert formula.is_width_uniform(k)
             census = occurrence_census(formula)
-            assert census.max_occurrence <= s
+            assert census.max_occurrence == s
             assert solve(formula).status == UNSAT
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_restricted_witnesses_are_tight(self, k):
+        # the piece model charges what the formula really holds: both
+        # witnesses at T = f2 + 1 build a variable in exactly T clauses
+        t = f2_value(k) + 1
+        for trace in (feasible(k, t),
+                      _trace_from_piece(_search_witness(k, t, False))):
+            formula = materialize(trace, k, t)
+            assert (occurrence_census(formula).max_occurrence
+                    == annotate_trace(trace, k).required_s == t)
+
+    @pytest.mark.parametrize("build,base", [
+        (lambda: materialize(_deep_trace(), 2, 3), 1),
+        (lambda: lemma1_build(7, 2), 2 ** 5),
+        (lambda: lemma2_build(10, 2), 2 ** 8),
+    ], ids=["deep-trace", "lemma1", "lemma2"])
+    def test_built_states_are_never_split_again(self, monkeypatch, build,
+                                                base):
+        # each state is built from its parts: only a formula from outside,
+        # the one-clause axiom or the base K(k - l), reaches width_partition
+        sizes = []
+        original = kcnf.formula.width_partition
+
+        def recording(f, k):
+            sizes.append(len(f))
+            return original(f, k)
+
+        for name, module in list(sys.modules.items()):
+            if ((name == "kcnf" or name.startswith("kcnf."))
+                    and vars(module).get("width_partition") is original):
+                monkeypatch.setattr(module, "width_partition", recording)
+        build()
+        assert set(sizes) <= {base}
 
     def test_literal_witness_overflows_cap(self):
         # the relaxed split rule admits traces whose textual execution

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from kcnf.formula import (
     Formula,
     VarAllocator,
+    WidthPartition,
     almost_complete_formula,
     complete_formula,
     fresh_copy,
@@ -131,17 +132,24 @@ def test_product_identity_with_empty_clause_formula():
 
 
 def test_width_partition_sums():
-    f = Formula([[1], [1, 2], [1, 2, 3], [-1, 2, -3]])
+    f = Formula([[1, 2], [1, 2, 3], [-1, 2, -3]])
     part = width_partition(f, 3)
-    assert part.formula is f and part.k == 3
+    assert part.formula == f and part.k == 3
     assert len(part.incomplete) + len(part.complete) == len(f)
-    assert part.incomplete == Formula([[1], [1, 2]])
+    assert part.incomplete == Formula([[1, 2]])
     assert part.complete == Formula([[1, 2, 3], [-1, 2, -3]])
+
+
+def test_width_partition_rejects_mixed_subwidth():
+    with pytest.raises(ValueError, match=r"mixed widths \[1, 2\]"):
+        width_partition(Formula([[1], [1, 2], [1, 2, 3], [-1, 2, -3]]), 3)
 
 
 def test_width_partition_rejects_wide_clause():
     with pytest.raises(ValueError):
         width_partition(Formula([[1, 2, 3]]), 2)
+    with pytest.raises(ValueError, match="k must be positive"):
+        width_partition(Formula([[]]), 0)
 
 
 def test_occurrence_census_split():
@@ -214,23 +222,29 @@ def test_census_matches_naive_count(clauses):
     assert (census.total, census.max_occurrence) == _naive_census(f)
 
 
-def _clauses_over(pool):
-    return st.lists(
-        st.lists(st.sampled_from(pool), max_size=4, unique=True).flatmap(_signed),
-        max_size=8)
+def _clauses_over(pool, width):
+    return st.lists(st.lists(st.sampled_from(pool), min_size=width,
+                             max_size=width, unique=True).flatmap(_signed),
+                    max_size=8)
 
 
-# (guard ids, F', F'', G, allocator offset or None): F' and F'' draw on one
-# part of the pool and the guards G on the rest, so the product's operands
-# are disjoint
-substitution_st = st.lists(
-    st.integers(min_value=1, max_value=10 ** 4), min_size=2, max_size=12,
-    unique=True,
-).flatmap(lambda pool: st.integers(min_value=1, max_value=len(pool) - 1)
-          .flatmap(lambda cut: st.tuples(
-              st.just(pool[cut:]), _clauses_over(pool[:cut]),
-              _clauses_over(pool[:cut]), _clauses_over(pool[cut:]),
-              st.one_of(st.none(), st.integers(min_value=1, max_value=3)))))
+@st.composite
+def substitution_st(draw):
+    """(guard ids, state, G, allocator offset or None): the state's F' (one
+    width w < k) and F'' (width k) draw on one part of the pool and the
+    guards G (one width, at most k - w) on the rest, so the product's
+    operands are disjoint."""
+    pool = draw(st.lists(st.integers(min_value=1, max_value=10 ** 4),
+                         min_size=2, max_size=12, unique=True))
+    cut = draw(st.integers(min_value=1, max_value=len(pool) - 1))
+    k = draw(st.integers(min_value=1, max_value=cut))
+    w = draw(st.integers(min_value=0, max_value=k - 1))
+    g = draw(st.integers(min_value=0, max_value=min(k - w, len(pool) - cut)))
+    clauses = (draw(_clauses_over(pool[:cut], w))
+               + draw(_clauses_over(pool[:cut], k)))
+    return (pool[cut:], width_partition(Formula(clauses), k),
+            Formula(draw(_clauses_over(pool[cut:], g))),
+            draw(st.one_of(st.none(), st.integers(min_value=1, max_value=3))))
 
 
 def _allocator_at(start):
@@ -241,24 +255,36 @@ def _allocator_at(start):
 
 
 @settings(max_examples=300, deadline=None)
-@given(substitution_st)
+@given(substitution_st())
 def test_substitute_matches_product_then_union(case):
-    guard_ids, inc, comp, guards, offset = case
-    incomplete, complete, g = Formula(inc), Formula(comp), Formula(guards)
+    guard_ids, part, g, offset = case
+    incomplete, complete = part.incomplete, part.complete
     if offset is None:
-        assert (substitute(incomplete, complete, g)
-                == product(incomplete, g).union(complete))
-        return
-    # new ids start just above the guard ids, which may lie below the old
-    # ids of F' and F'': substitute must not bump the allocator past those
-    start = max(guard_ids) + offset
-    alloc = _allocator_at(start)
-    got = substitute(incomplete, complete, g, alloc)
-    old = sorted(incomplete.vars | complete.vars)
-    mapping = dict(zip(old, range(start, start + len(old))))
-    assert got == product(rename(incomplete, mapping), g).union(
-        rename(complete, mapping))
-    assert alloc.fresh() == start + len(old)
+        got = substitute(part, g)
+        assert got.formula == product(incomplete, g).union(complete)
+    else:
+        # new ids start just above the guard ids, which may lie below the
+        # old ids of F' and F'': substitute must not bump the allocator
+        # past those
+        start = max(guard_ids) + offset
+        alloc = _allocator_at(start)
+        got = substitute(part, g, alloc)
+        old = sorted(incomplete.vars | complete.vars)
+        mapping = dict(zip(old, range(start, start + len(old))))
+        assert got.formula == product(rename(incomplete, mapping), g).union(
+            rename(complete, mapping))
+        assert alloc.fresh() == start + len(old)
+    # the parts are those that splitting the joined formula would give
+    again = width_partition(got.formula, part.k)
+    assert (got.incomplete, got.complete) == (again.incomplete, again.complete)
+
+
+def test_substitute_rejects_glued_widths_past_k():
+    part = width_partition(Formula([[1], [-1], [1, 2, 3]]), 3)
+    with pytest.raises(ValueError, match="one width <= k=3"):
+        substitute(part, Formula([[4, 5, 6]]))
+    with pytest.raises(ValueError, match="one width <= k=3"):
+        substitute(part, Formula([[4], [5, 6]]))
 
 
 def _scanned_vars(f):
@@ -266,10 +292,10 @@ def _scanned_vars(f):
 
 
 @settings(max_examples=300, deadline=None)
-@given(substitution_st)
+@given(substitution_st())
 def test_carried_vars_are_exact(case):
-    guard_ids, inc, comp, guards, offset = case
-    incomplete, complete, g = Formula(inc), Formula(comp), Formula(guards)
+    guard_ids, part, g, offset = case
+    incomplete, complete = part.incomplete, part.complete
     empty, bottom = Formula([]), Formula([[]])
     old = sorted(incomplete.vars | complete.vars)
     mapping = dict(zip(old, reversed(range(max(guard_ids) + 1,
@@ -278,6 +304,12 @@ def test_carried_vars_are_exact(case):
     renamed = rename(incomplete, mapping)
     products = [product(a, b) for a in (renamed, empty, bottom)
                 for b in (g, empty, bottom)]
+    states = [
+        substitute(part, g, alloc),
+        substitute(WidthPartition(part.k, empty, complete), g, alloc),
+        substitute(part, empty, alloc),
+        substitute(WidthPartition(part.k, bottom, complete), g, alloc),
+    ]
     results = [
         renamed,
         rename(complete, mapping),
@@ -285,10 +317,8 @@ def test_carried_vars_are_exact(case):
         # every operand of these unions has read its .vars, so each carries
         renamed.union(*products),
         complete.union(g, empty, bottom),
-        substitute(incomplete, complete, g, alloc),
-        substitute(empty, complete, g, alloc),
-        substitute(incomplete, complete, empty, alloc),
-        substitute(bottom, complete, g, alloc),
+        *[f for state in states
+          for f in (state.incomplete, state.complete, state.formula)],
     ]
     for f in results:
         assert f.vars == _scanned_vars(f)
