@@ -30,7 +30,7 @@ FINAL line naming the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from .formula import (
     Formula,
@@ -194,8 +194,6 @@ def parse_trace(text: str) -> DerivTrace:
         nodes.append(TraceNode(op, refs))
     if final is None:
         raise CalculusError("missing FINAL line")
-    if not nodes:
-        raise CalculusError("empty trace")
     return DerivTrace(tuple(nodes), final)
 
 
@@ -221,7 +219,7 @@ class NodeInfo:
 @dataclass(frozen=True)
 class TraceAnnotation:
     nodes: Tuple[NodeInfo, ...]
-    required_s: int    # max requirement over nodes reachable from FINAL
+    required_s: int    # max requirement over all nodes; each feeds FINAL
 
 
 def annotate_trace(trace: DerivTrace, k: int,
@@ -277,16 +275,13 @@ def annotate_trace(trace: DerivTrace, k: int,
         raise CalculusError(
             f"final node has width {infos[trace.final].width}, expected {k}")
 
-    reachable: Set[int] = set()
-    stack = [trace.final]
-    while stack:
-        i = stack.pop()
-        if i in reachable:
-            continue
-        reachable.add(i)
-        stack.extend(trace.nodes[i].args)
-    orphans = sorted(set(range(len(trace.nodes))) - reachable)
+    reached = [i == trace.final for i in range(len(infos))]
+    for i in range(trace.final, -1, -1):    # references name earlier nodes
+        if reached[i]:
+            for a in trace.nodes[i].args:
+                reached[a] = True
+    orphans = [i for i, r in enumerate(reached) if not r]
     if orphans:
         raise CalculusError(f"unreachable node(s): {orphans}")
-    required = max(infos[i].requirement for i in reachable)
+    required = max(info.requirement for info in infos)
     return TraceAnnotation(tuple(infos), required)

@@ -32,7 +32,7 @@ from .constructions import (
     lemma2_condition,
     recommended_l,
 )
-from .dimacs import DimacsError, read_dimacs, write_dimacs
+from .dimacs import read_dimacs, write_dimacs
 from .dp import (
     F2_CSV_HEADER,
     MaterializeError,
@@ -283,10 +283,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             with open(os.devnull, "w") as devnull:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())
         return EXIT_VIOLATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DimacsError, CalculusError, ValueError) as exc:
+    except (OSError, ValueError) as exc:    # kcnf's own errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -52,7 +52,8 @@ def read_dimacs(text: str) -> Formula:
     Comment lines may appear before and after the header. Duplicate
     literals and duplicate clauses collapse (set semantics). Raises
     DimacsError on a malformed or missing header, a variable index above
-    the declared count, an unterminated final clause, or a tautology.
+    the declared count, an unterminated final clause, a tautology, or,
+    checked last, a count of clauses as written other than the header's.
 
     int() runs once per distinct clause token: a per-file table maps each
     token to its literal, and the bound on variable indices is checked
@@ -105,7 +106,7 @@ def read_dimacs(text: str) -> Formula:
     if header is None:
         raise DimacsError("missing 'p cnf' header")
 
-    n_vars, _ = header
+    n_vars, n_clauses = header
     # every clause token is in lit_of, so its values bound every literal
     if max(map(abs, lit_of.values()), default=0) > n_vars:
         body = clauses + [current]  # every literal, in file order
@@ -116,6 +117,10 @@ def read_dimacs(text: str) -> Formula:
         raise DimacsError("unterminated clause at end of input")
 
     try:
-        return Formula(clauses)
+        formula = Formula(clauses)
     except ValueError as exc:  # tautology or literal 0 inside Formula
         raise DimacsError(str(exc))
+    if len(clauses) != n_clauses:
+        raise DimacsError(f"header declares {n_clauses} clauses, "
+                          f"body has {len(clauses)}")
+    return formula

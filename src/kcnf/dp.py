@@ -84,10 +84,16 @@ class MaterializeError(ValueError):
     """A trace whose expansion would be wrong or too large to build."""
 
 
+CHAIN = OP_AXIOM
+
+
 class _Piece:
     """A derivation summary and its last step; identity-hashed so
     provenance links stay cheap. A finishing piece has width k and size 0,
-    as annotate_trace gives a finished node."""
+    as annotate_trace gives a finished node. how is the last step in the
+    trace ops: (CHAIN,) for the chain of the piece's width, AXIOM and one
+    SPLIT per unit (the axiom is the chain of width 0), (OP_COMPOSE, a, b)
+    or, in literal mode, (OP_SPLIT, a) over operand pieces a and b."""
 
     __slots__ = ("width", "size", "req", "how")
 
@@ -95,15 +101,13 @@ class _Piece:
         self.width = width
         self.size = size
         self.req = req
-        self.how = how          # ("axiom",) | ("chain",) | ("compose", a, b)
-                                # | ("split", a) in literal mode
+        self.how = how
 
 
-def _frontier_threshold(k: int, literal: bool = False,
-                        bound: Optional[int] = None) -> Optional[_Piece]:
+def _frontier_threshold(k: int, literal: bool, bound: int) -> Optional[_Piece]:
     """Uniform-cost expansion of the piece space; returns the finishing
     piece, of width k and req = T(k), whose how is the last step:
-    ("compose", a, b), ("split", a) or ("chain",) for the split chain.
+    (OP_COMPOSE, a, b), (OP_SPLIT, a) or (CHAIN,) for the split chain.
 
     A composite's requirement is at least either operand's, so expanding
     pieces in increasing requirement order is monotone: once every queued
@@ -124,15 +128,16 @@ def _frontier_threshold(k: int, literal: bool = False,
     witnesses from k = 105 on, so the keys stay and feasible checks the
     witness against the search instead.
 
-    Given bound = T(k) from the search, best starts at the first integer
-    whose key is above key(T(k)), not at the split chain's 2^k, so no
-    candidate past T(k)'s key class is pushed. Such a candidate can
-    neither settle before the unbounded run's finish at T(k) nor displace
-    or suppress one below the edge, so the bounded run takes the same
-    steps below the edge and returns the same witness. The edge is not
-    T(k) + 1: inside a key tie the unbounded run settles pieces up to the
-    end of T(k)'s class before it finds its finish, and those can shape
-    the witness. Returns None when no finish registers under the bound.
+    bound is T(k) from the search, or 2^k for the unbounded run. best
+    starts at the first integer whose key is above key(bound), or at the
+    split chain's 2^k where that is lower, so no candidate past T(k)'s key
+    class is pushed. Such a candidate can neither settle before the
+    unbounded run's finish at T(k) nor displace or suppress one below the
+    edge, so the bounded run takes the same steps and returns the same
+    witness. The edge is not T(k) + 1: inside a key tie the unbounded run
+    settles pieces up to the end of T(k)'s class before it finds its
+    finish, and those can shape the witness. Returns None when no finish
+    registers under the bound.
 
     Entry payloads live in a list indexed by seq, which doubles as the
     liveness test: a staircase displacement blanks the slot, and the stale
@@ -156,22 +161,19 @@ def _frontier_threshold(k: int, literal: bool = False,
     literal k <= 90), but the two orders differ at some settle in 70 of
     270 runs checked, so the traces are not known to agree for every k.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
     pow2 = [1 << i for i in range(k + 1)]
     factor = [p - 1 for p in pow2]
     best = pow2[k]                      # the pure split chain
-    best_how: Optional[Tuple] = ("chain",)
+    best_how: Optional[Tuple] = (CHAIN,)
 
     def keyf(x: int) -> int:
         bl = x.bit_length()
         return (bl << 53) | (x >> (bl - 53) if bl > 53 else x << (53 - bl))
 
-    if bound is not None:
-        sh = max(0, bound.bit_length() - 53)
-        edge = ((bound >> sh) + 1) << sh
-        if edge < best:
-            best, best_how = edge, None
+    sh = max(0, bound.bit_length() - 53)
+    edge = ((bound >> sh) + 1) << sh
+    if edge < best:
+        best, best_how = edge, None
     best_key = keyf(best - 1)
     heap: List[int] = []
     live: List[Optional[Tuple[int, int, int]]] = []  # seq -> (width, size, req)
@@ -222,9 +224,9 @@ def _frontier_threshold(k: int, literal: bool = False,
         live_n += 1
         heapq.heappush(heap, (keyf(req) << 28) | seq)
 
-    push(0, 1, 0, ("axiom",))
+    push(0, 1, 0, (CHAIN,))
     for w in range(1, k):
-        push(w, pow2[w], pow2[w], ("chain",))
+        push(w, pow2[w], pow2[w], (CHAIN,))
 
     while heap:
         if len(heap) > 2 * live_n + 4096:
@@ -281,7 +283,7 @@ def _frontier_threshold(k: int, literal: bool = False,
                 r = req
             if d == dfin:
                 if r < best:
-                    best, best_how = r, ("compose", piece, partner)
+                    best, best_how = r, (OP_COMPOSE, piece, partner)
                     best_key = keyf(best - 1)
             elif r < best:
                 tgt = width + d
@@ -289,7 +291,7 @@ def _frontier_threshold(k: int, literal: bool = False,
                 if mt is None or t < mt:
                     pr = pend_r[k - d]
                     if not pr or pr[-1] >= r:
-                        push(tgt, t, r, ("compose", piece, partner))
+                        push(tgt, t, r, (OP_COMPOSE, piece, partner))
         # as right operand: settled sources at narrower widths, cheapest
         # size first so the scan can stop early; d is fixed here. The
         # settling piece is the partner side, the source's staircase the
@@ -309,17 +311,17 @@ def _frontier_threshold(k: int, literal: bool = False,
             if r < req:
                 r = req
             if r < best and (own_req is None or own_req >= r):
-                push(tgt, t, r, ("compose", min_piece[w1], piece))
+                push(tgt, t, r, (OP_COMPOSE, min_piece[w1], piece))
         if literal:
             r = max(req, 2 * size)
             if width == k - 1:
                 if r < best:
-                    best, best_how = r, ("split", piece)
+                    best, best_how = r, (OP_SPLIT, piece)
                     best_key = keyf(best - 1)
             elif r < best and (own_req is None or own_req >= r):
                 mt = min_size[width + 1]
                 if mt is None or 2 * size < mt:
-                    push(width + 1, 2 * size, r, ("split", piece))
+                    push(width + 1, 2 * size, r, (OP_SPLIT, piece))
     return None if best_how is None else _Piece(k, 0, best, best_how)
 
 
@@ -353,7 +355,7 @@ def _capped_fixpoint(k: int, s: int, size: List[int], req: List[int],
         if c <= s and c < size[w]:
             size[w] = req[w] = c
             if piece:
-                piece[w] = _Piece(w, c, c, ("chain",))
+                piece[w] = _Piece(w, c, c, (CHAIN,))
     best = none + 1                     # a finish may need exactly 2^k
     while True:
         changed = False
@@ -389,7 +391,7 @@ def _capped_fixpoint(k: int, s: int, size: List[int], req: List[int],
                     if r < best:
                         best = r
                         if piece:
-                            piece[k] = _Piece(k, 0, r, ("compose", piece[w1],
+                            piece[k] = _Piece(k, 0, r, (OP_COMPOSE, piece[w1],
                                                         piece[w2]))
                         if r <= known:
                             return True, r
@@ -397,7 +399,7 @@ def _capped_fixpoint(k: int, s: int, size: List[int], req: List[int],
                     size[tgt], req[tgt] = t, r
                     changed = True
                     if piece:
-                        piece[tgt] = _Piece(tgt, t, r, ("compose", piece[w1],
+                        piece[tgt] = _Piece(tgt, t, r, (OP_COMPOSE, piece[w1],
                                                         piece[w2]))
             if literal:
                 c = 2 * m1
@@ -411,14 +413,14 @@ def _capped_fixpoint(k: int, s: int, size: List[int], req: List[int],
                     if r < best:
                         best = r
                         if piece:
-                            piece[k] = _Piece(k, 0, r, ("split", piece[w1]))
+                            piece[k] = _Piece(k, 0, r, (OP_SPLIT, piece[w1]))
                         if r <= known:
                             return True, r
                 elif c < size[tgt]:
                     size[tgt], req[tgt] = c, r
                     changed = True
                     if piece:
-                        piece[tgt] = _Piece(tgt, c, r, ("split", piece[w1]))
+                        piece[tgt] = _Piece(tgt, c, r, (OP_SPLIT, piece[w1]))
         if not changed:
             if best <= none:
                 return True, best
@@ -471,7 +473,7 @@ def _guide_probe(k: int) -> int:
 
 def _search_witness(k: int, t: int, literal: bool) -> _Piece:
     """A finishing piece needing exactly t = T(k), from one check at cap t."""
-    piece: List[Optional[_Piece]] = [_Piece(0, 1, 0, ("axiom",))] + [None] * k
+    piece: List[Optional[_Piece]] = [_Piece(0, 1, 0, (CHAIN,))] + [None] * k
     ok, r = _capped_fixpoint(k, t, *_start(k), t, literal, piece)
     assert ok and r == t
     return piece[k]
@@ -508,7 +510,7 @@ def feasible(k: int, s: int, literal: bool = False) -> Optional[DerivTrace]:
     if s < 1:
         raise ValueError("s must be positive")
     if s >= 2 ** k:
-        return _trace_from_piece(_Piece(k, 0, 1 << k, ("chain",)))
+        return _trace_from_piece(_Piece(k, 0, 1 << k, (CHAIN,)))
     t = _threshold_search(k, literal, guess=s)
     if s < t:
         return None
@@ -524,8 +526,9 @@ def _trace_from_piece(root: _Piece) -> DerivTrace:
     """The trace of root's derivation, each piece once, operands first.
 
     The post-order is iterative: piece DAGs can be deeper than the default
-    recursion limit at large k. A chain piece of width w is the axiom and
-    w splits; the axiom is the chain of width 0.
+    recursion limit at large k. A chain piece of width w expands to AXIOM
+    and w SPLITs; every other piece is one node, its how's op over the ids
+    of its operand pieces.
     """
     nodes: List[TraceNode] = []
     ids: Dict[_Piece, int] = {}
@@ -539,14 +542,12 @@ def _trace_from_piece(root: _Piece) -> DerivTrace:
             stack.append((piece, True))
             stack.extend((p, False) for p in reversed(deps))
             continue
-        if op == "compose":
-            nodes.append(TraceNode(OP_COMPOSE, (ids[deps[0]], ids[deps[1]])))
-        elif op == "split":
-            nodes.append(TraceNode(OP_SPLIT, (ids[deps[0]],)))
-        else:
+        if op == CHAIN:
             nodes.append(TraceNode(OP_AXIOM, ()))
             for _ in range(piece.width):
                 nodes.append(TraceNode(OP_SPLIT, (len(nodes) - 1,)))
+        else:
+            nodes.append(TraceNode(op, tuple(ids[p] for p in deps)))
         ids[piece] = len(nodes) - 1
     return DerivTrace(tuple(nodes), len(nodes) - 1)
 

@@ -141,31 +141,6 @@ class TestVerify:
         code, out, _ = invoke(capsys, "verify", str(path), *argv)
         assert (code, out) == (want_code, want_out)
 
-    def test_satisfiable_file_reports_witness(self, capsys, tmp_path):
-        path = tmp_path / "sat.cnf"
-        path.write_text(write_dimacs(almost_complete_formula([1, 2, 3])))
-        code, text, _ = invoke(capsys, "verify", str(path), "--k", "3",
-                               "--solve")
-        assert code == 1
-        assert "solver = SAT" in text
-        assert "model = -1 -2 -3" in text
-
-    def test_timeout_is_a_violation(self, capsys, tmp_path):
-        path = tmp_path / "k6.cnf"
-        path.write_text(write_dimacs(complete_formula(range(1, 7))))
-        code, text, _ = invoke(capsys, "verify", str(path), "--k", "6",
-                               "--solve", "--budget", "0")
-        assert code == 1
-        assert "solver = TIMEOUT" in text
-
-    def test_occurrence_cap_violation(self, capsys, tmp_path):
-        path = tmp_path / "k2.cnf"
-        path.write_text(write_dimacs(complete_formula([1, 2])))
-        code, text, _ = invoke(capsys, "verify", str(path), "--k", "2",
-                               "--max-occ", "3")
-        assert code == 1
-        assert "occurrence_cap = 3 (exceeded)" in text
-
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "verify", str(tmp_path / "no.cnf"),
                               "--k", "3")
@@ -178,6 +153,13 @@ class TestVerify:
         code, _, err = invoke(capsys, "verify", str(path), "--k", "3")
         assert code == 2
         assert "error:" in err
+
+    def test_miscounted_header_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "miscount.cnf"
+        path.write_text("p cnf 2 9\n1 2 0\n")
+        code, text, err = invoke(capsys, "verify", str(path), "--k", "2")
+        assert (code, text) == (2, "")
+        assert err == "error: header declares 9 clauses, body has 1\n"
 
     def test_negative_budget_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "k2.cnf"

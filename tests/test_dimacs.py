@@ -92,6 +92,18 @@ def test_duplicate_clauses_collapse():
     ("p cnf 2 2\n1 -1 0\n3 0\n", "literal 3 exceeds declared variable count 2"),
     ("p cnf 3 2\n1 -1 0\n2 -2 0\n",
      "tautological clause: contains both 1 and -1"),
+    ("p cnf x 1\n1 0\n", "line 1: malformed header 'p cnf x 1'"),
+    ("p cnf 1 1\n2 0\n", "literal 2 exceeds declared variable count 1"),
+    ("p cnf 1 1\n1\n", "unterminated clause at end of input"),
+    ("p cnf 1 1\n1 -1 0\n", "tautological clause: contains both 1 and -1"),
+    ("p cnf 1 1\np cnf 1 1\n1 0\n", "line 2: duplicate header"),
+    ("", "missing 'p cnf' header"),
+    # the clauses as written are counted, duplicates included
+    ("p cnf 2 9\n1 2 0\n", "header declares 9 clauses, body has 1"),
+    ("p cnf 2 1\n1 2 0\n1 0\n1 0\n",
+     "header declares 1 clauses, body has 3"),
+    # the count is checked last
+    ("p cnf 2 3\n1 -1 0\n", "tautological clause: contains both 1 and -1"),
 ])
 def test_read_error_messages(text, message):
     with pytest.raises(DimacsError) as info:
@@ -102,25 +114,6 @@ def test_read_error_messages(text, message):
 def test_several_clauses_on_one_line():
     text = "p cnf 3 4\n1 -2 0 3 0\n-1\n2 0 0\n"
     assert read_dimacs(text) == Formula([[1, -2], [3], [-1, 2], []])
-
-
-def test_read_errors():
-    with pytest.raises(DimacsError):
-        read_dimacs("1 0\n")  # clause before header
-    with pytest.raises(DimacsError):
-        read_dimacs("p cnf x 1\n1 0\n")
-    with pytest.raises(DimacsError):
-        read_dimacs("p dnf 1 1\n1 0\n")
-    with pytest.raises(DimacsError):
-        read_dimacs("p cnf 1 1\n2 0\n")  # index above declared count
-    with pytest.raises(DimacsError):
-        read_dimacs("p cnf 1 1\n1\n")  # unterminated clause
-    with pytest.raises(DimacsError):
-        read_dimacs("p cnf 1 1\n1 -1 0\n")  # tautology
-    with pytest.raises(DimacsError):
-        read_dimacs("p cnf 1 1\np cnf 1 1\n1 0\n")
-    with pytest.raises(DimacsError):
-        read_dimacs("")
 
 
 clause_st = st.lists(

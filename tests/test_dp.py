@@ -24,6 +24,7 @@ import kcnf.formula
 from kcnf.cli import run
 from kcnf.constructions import lemma1_build, lemma2_build
 from kcnf.dp import (
+    CHAIN,
     DEFAULT_CLAUSE_CAP,
     _frontier_threshold,
     _search_witness,
@@ -76,10 +77,11 @@ WITNESS_SHA256 = {
 }
 
 
-def _frontier_witness(k, literal, t, bound=None):
+def _frontier_witness(k, literal, t, bound):
     """The frontier's serialized witness, or None where feasible would
-    fall back to the search's derivation."""
-    root = _frontier_threshold(k, literal, bound=bound)
+    fall back to the search's derivation; bound = 2^k is the unbounded
+    run."""
+    root = _frontier_threshold(k, literal, bound)
     if root is None:
         return None
     trace = _trace_from_piece(root)
@@ -121,7 +123,7 @@ class TestF2Value:
         for literal in (False, True):
             for k in range(1, 49):
                 assert (f2_value(k, literal)
-                        == _frontier_threshold(k, literal).req - 1), \
+                        == _frontier_threshold(k, literal, 1 << k).req - 1), \
                     (k, literal)
 
     def test_both_fixpoints_return_the_finishing_piece(self):
@@ -134,7 +136,7 @@ class TestF2Value:
                 roots = [_frontier_threshold(k, literal, bound=t),
                          _search_witness(k, t, literal)]
                 if k == 1:
-                    assert roots[0].how == ("chain",)
+                    assert roots[0].how == (CHAIN,)
                 for root in roots:
                     assert root.width == k and root.req == t, (k, literal)
 
@@ -246,7 +248,7 @@ class TestFeasible:
         cases += [(k, True) for k in range(60, 73)]
         for k, literal in cases:
             t = f2_value(k, literal) + 1
-            unbounded = _frontier_witness(k, literal, t)
+            unbounded = _frontier_witness(k, literal, t, 1 << k)
             assert _frontier_witness(k, literal, t, bound=t) == unbounded, \
                 (k, literal)
             if unbounded is None:

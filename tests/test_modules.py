@@ -106,3 +106,18 @@ def test_each_decision_has_one_encoding():
     copied = (_dataclass_fields(solver, "VerifyReport")
               & _dataclass_fields(solver, "SolveResult"))
     assert not copied, f"VerifyReport copies SolveResult's {sorted(copied)}"
+
+
+def test_dp_steps_use_the_trace_ops():
+    # a piece's last step is spelled with calculus's trace ops, so a tuple
+    # that starts with a string (other than __slots__) is a second spelling
+    tree = ast.parse((SRC / "dp.py").read_text(encoding="utf-8"))
+    slots = {id(node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Assign)
+             and [t.id for t in node.targets if isinstance(t, ast.Name)]
+             == ["__slots__"]}
+    tagged = [f"line {node.lineno}" for node in ast.walk(tree)
+              if isinstance(node, ast.Tuple) and id(node) not in slots
+              and node.elts and isinstance(node.elts[0], ast.Constant)
+              and isinstance(node.elts[0].value, str)]
+    assert not tagged, f"dp.py tuples tagged with a string: {tagged}"
