@@ -14,6 +14,12 @@ in, which is what makes the occurrence cap s checkable per step:
            K^-(X) over a fresh d-block X, plus F2' x {{X}} u F2''.
                                              needs s >= (2^d - 1)|F1'| + |F2'|
 
+Each rule is stated once, on summaries, by split_step and compose_step:
+they give the next (w, |F'|), the requirement and the clause total, and
+reject a finished operand and, for compose, width(F1) > width(F2). split
+and compose take their requirement and those checks from them, and
+annotate_trace chains them over a trace.
+
 Splitting is only sound under the cap when the split variables of F' do not
 already occur elsewhere; the split rule enforces the structural condition
 (every F'-variable in every F'-clause and in no F''-clause), which holds
@@ -68,16 +74,51 @@ def _ensure_alloc(alloc: Optional[VarAllocator],
     return alloc
 
 
-def split_requirement(df: WidthPartition) -> int:
-    return 2 * df.size
+@dataclass(frozen=True)
+class NodeInfo:
+    width: int
+    size: int          # |F'| after the step; 0 once width reaches k
+    requirement: int   # occurrence load this step puts on its fresh variables
+    clauses: int       # clauses the node expands to, one copy per reference
+
+
+def split_step(k: int, child: NodeInfo) -> NodeInfo:
+    """The split rule on summaries: its fresh variable lands in 2|F'|
+    clauses, and each F' clause is doubled."""
+    if child.width >= k:
+        raise CalculusError("cannot split a finished derivation")
+    w, m = child.width + 1, child.size
+    return NodeInfo(width=w, size=0 if w == k else 2 * m, requirement=2 * m,
+                    clauses=child.clauses + m)
+
+
+def compose_step(k: int, left: NodeInfo, right: NodeInfo) -> NodeInfo:
+    """The compose rule on summaries: 2^d - 1 copies of the left operand
+    (d = k - width(right)), and each block variable in (2^d - 1)|F1'| +
+    |F2'| clauses."""
+    if left.width >= k or right.width >= k:
+        raise CalculusError("cannot compose a finished derivation")
+    if left.width > right.width:
+        raise CalculusError(
+            f"compose needs width(left) <= width(right), "
+            f"got {left.width} > {right.width}")
+    d = k - right.width
+    w = left.width + d
+    copies = 2 ** d - 1
+    return NodeInfo(width=w, size=0 if w == k else copies * left.size,
+                    requirement=copies * left.size + right.size,
+                    clauses=copies * left.clauses + right.clauses)
+
+
+def _summary(df: WidthPartition) -> NodeInfo:
+    """The part of a state's summary that the rules read: width and |F'|."""
+    return NodeInfo(df.width, df.size, 0, 0)
 
 
 def split(df: WidthPartition, s: int, literal: bool = False,
           alloc: Optional[VarAllocator] = None) -> WidthPartition:
     """Apply the split rule with a fresh variable; see the module doc."""
-    if df.is_final:
-        raise CalculusError("cannot split a finished derivation")
-    need = split_requirement(df)
+    need = split_step(df.k, _summary(df)).requirement
     if need > s:
         raise CalculusError(f"split needs s >= {need}, have s = {s}")
     if not literal and not _splittable(df.incomplete, df.complete):
@@ -85,13 +126,6 @@ def split(df: WidthPartition, s: int, literal: bool = False,
             "restricted split: F' variables must fill F' and avoid F''")
     alloc = _ensure_alloc(alloc, df)
     return substitute(df, complete_formula([alloc.fresh()]))
-
-
-def compose_requirement(k: int, k1: int, k2: int, m1: int, m2: int) -> int:
-    """Occurrence load the compose rule puts on each fresh block variable."""
-    if not 0 <= k1 <= k2 < k:
-        raise CalculusError(f"need 0 <= k1 <= k2 < k, got {k1}, {k2}, {k}")
-    return (2 ** (k - k2) - 1) * m1 + m2
 
 
 def compose(df1: WidthPartition, df2: WidthPartition, s: int,
@@ -104,18 +138,12 @@ def compose(df1: WidthPartition, df2: WidthPartition, s: int,
     """
     if df1.k != df2.k:
         raise CalculusError(f"mixed k: {df1.k} vs {df2.k}")
-    if df1.is_final or df2.is_final:
-        raise CalculusError("cannot compose a finished derivation")
-    if df1.width > df2.width:
-        raise CalculusError(
-            f"compose needs width(left) <= width(right), "
-            f"got {df1.width} > {df2.width}")
+    k = df1.k
+    need = compose_step(k, _summary(df1), _summary(df2)).requirement
     if not all(a.vars.isdisjoint(b.vars)
                for a in (df1.incomplete, df1.complete)
                for b in (df2.incomplete, df2.complete)):
         raise CalculusError("compose operands share variables")
-    k = df1.k
-    need = compose_requirement(k, df1.width, df2.width, df1.size, df2.size)
     if need > s:
         raise CalculusError(f"compose needs s >= {need}, have s = {s}")
     alloc = _ensure_alloc(alloc, df1, df2)
@@ -209,14 +237,6 @@ def _parse_ref(token: str, bound: int, ln: int) -> int:
 
 
 @dataclass(frozen=True)
-class NodeInfo:
-    width: int
-    size: int          # |F'| after the step; 0 once width reaches k
-    requirement: int   # occurrence load this step puts on its fresh variables
-    clauses: int       # clauses the node expands to, one copy per reference
-
-
-@dataclass(frozen=True)
 class TraceAnnotation:
     nodes: Tuple[NodeInfo, ...]
     required_s: int    # max requirement over all nodes; each feeds FINAL
@@ -224,8 +244,8 @@ class TraceAnnotation:
 
 def annotate_trace(trace: DerivTrace, k: int,
                    literal: bool = False) -> TraceAnnotation:
-    """Recompute (width, |F'|, clause total) bottom-up and validate every
-    side condition.
+    """Recompute (width, |F'|, clause total) bottom-up by split_step and
+    compose_step and validate every side condition.
 
     This is pure arithmetic on the summaries; nothing is materialized, so
     annotating is cheap even when the sizes are astronomical. The final
@@ -235,42 +255,20 @@ def annotate_trace(trace: DerivTrace, k: int,
         raise CalculusError("k must be positive")
     infos: List[NodeInfo] = []
     for i, node in enumerate(trace.nodes):
-        if node.op == OP_AXIOM:
-            infos.append(NodeInfo(width=0, size=1, requirement=0, clauses=1))
-        elif node.op == OP_SPLIT:
-            (c,) = node.args
-            cw, cm = infos[c].width, infos[c].size
-            if cw >= k:
-                raise CalculusError(f"node {i}: splitting a finished node")
-            if not literal and trace.nodes[c].op == OP_COMPOSE:
-                raise CalculusError(
-                    f"node {i}: restricted split of a composed node")
-            w = cw + 1
-            infos.append(NodeInfo(
-                width=w,
-                size=0 if w == k else 2 * cm,
-                requirement=2 * cm,
-                clauses=infos[c].clauses + cm,
-            ))
-        else:
-            a1, a2 = node.args
-            w1, m1 = infos[a1].width, infos[a1].size
-            w2, m2 = infos[a2].width, infos[a2].size
-            if w1 >= k or w2 >= k:
-                raise CalculusError(f"node {i}: composing a finished node")
-            if w1 > w2:
-                raise CalculusError(
-                    f"node {i}: compose needs width(left) <= width(right), "
-                    f"got {w1} > {w2}")
-            d = k - w2
-            w = w1 + d
-            copies = 2 ** d - 1
-            infos.append(NodeInfo(
-                width=w,
-                size=0 if w == k else copies * m1,
-                requirement=copies * m1 + m2,
-                clauses=copies * infos[a1].clauses + infos[a2].clauses,
-            ))
+        try:
+            if node.op == OP_AXIOM:
+                info = NodeInfo(width=0, size=1, requirement=0, clauses=1)
+            elif node.op == OP_SPLIT:
+                (c,) = node.args
+                info = split_step(k, infos[c])
+                if not literal and trace.nodes[c].op == OP_COMPOSE:
+                    raise CalculusError("restricted split of a composed node")
+            else:
+                a1, a2 = node.args
+                info = compose_step(k, infos[a1], infos[a2])
+        except CalculusError as e:
+            raise CalculusError(f"node {i}: {e}") from None
+        infos.append(info)
     if infos[trace.final].width != k:
         raise CalculusError(
             f"final node has width {infos[trace.final].width}, expected {k}")

@@ -13,8 +13,9 @@ derivation. Rules act on summaries:
   compose    left (w1, m1, r1), right (w2, m2, r2), w1 <= w2 < k, d = k - w2:
              (w1 + d, (2^d - 1) m1, max(r1, r2, (2^d - 1) m1 + m2))
   finish     equal widths w1 = w2: requirement max(r1, r2, (2^d - 1) m1 + m2)
-  split      literal mode only, any piece: (w + 1, 2m, max(r, 2m)),
-             a finish at w = k - 1
+  split      literal mode only, w < k - 1: (w + 1, 2m, max(r, 2m)); its
+             finish at w = k - 1 costs max(r, 2m), as the d = 1 self-compose
+             of the piece does, and both fixpoints take that compose
 
 T(k) is the least finish requirement. f2_value finds it by a bracketed
 search over the cap s. Under a fixed s only the smallest size per width
@@ -107,7 +108,9 @@ class _Piece:
 def _frontier_threshold(k: int, literal: bool, bound: int) -> Optional[_Piece]:
     """Uniform-cost expansion of the piece space; returns the finishing
     piece, of width k and req = T(k), whose how is the last step:
-    (OP_COMPOSE, a, b), (OP_SPLIT, a) or (CHAIN,) for the split chain.
+    (OP_COMPOSE, a, b) or (CHAIN,) for the split chain. A literal split
+    never finishes: at width k - 1 the piece's self-compose costs the same
+    and is tried first, and best moves only on a strictly smaller cost.
 
     A composite's requirement is at least either operand's, so expanding
     pieces in increasing requirement order is monotone: once every queued
@@ -312,13 +315,10 @@ def _frontier_threshold(k: int, literal: bool, bound: int) -> Optional[_Piece]:
                 r = req
             if r < best and (own_req is None or own_req >= r):
                 push(tgt, t, r, (OP_COMPOSE, min_piece[w1], piece))
-        if literal:
+        # at width k - 1 the d = 1 self-compose above finishes at this cost
+        if literal and width < k - 1:
             r = max(req, 2 * size)
-            if width == k - 1:
-                if r < best:
-                    best, best_how = r, (OP_SPLIT, piece)
-                    best_key = keyf(best - 1)
-            elif r < best and (own_req is None or own_req >= r):
+            if r < best and (own_req is None or own_req >= r):
                 mt = min_size[width + 1]
                 if mt is None or 2 * size < mt:
                     push(width + 1, 2 * size, r, (OP_SPLIT, piece))
@@ -338,7 +338,10 @@ def _capped_fixpoint(k: int, s: int, size: List[int], req: List[int],
     smallest size per width loses nothing, because a step's output size
     and its cost both grow with each operand's size. Given a piece list
     (the axiom at width 0), the derivations are kept there as well, and
-    piece[k] gets the finishing piece (width k, size 0).
+    piece[k] gets the finishing piece (width k, size 0), a compose: a
+    literal split from width k - 1 costs what the piece's d = 1
+    self-compose does, which the check takes first, so the split is a step
+    only below k - 1.
 
     Returns (True, r) when a finish fits within s, with r <= s the least
     requirement among the finishing derivations found; T(k) <= r. The
@@ -401,22 +404,15 @@ def _capped_fixpoint(k: int, s: int, size: List[int], req: List[int],
                     if piece:
                         piece[tgt] = _Piece(tgt, t, r, (OP_COMPOSE, piece[w1],
                                                         piece[w2]))
-            if literal:
+            # at width k - 1 the d = 1 self-compose above finishes at this cost
+            if literal and w1 < k - 1:
                 c = 2 * m1
                 tgt = w1 + 1
                 if c > s:
-                    if c < least and (tgt == k or c < size[tgt]):
+                    if c < least and c < size[tgt]:
                         least = c
-                    continue
-                r = max(r1, c)
-                if tgt == k:
-                    if r < best:
-                        best = r
-                        if piece:
-                            piece[k] = _Piece(k, 0, r, (OP_SPLIT, piece[w1]))
-                        if r <= known:
-                            return True, r
                 elif c < size[tgt]:
+                    r = max(r1, c)
                     size[tgt], req[tgt] = c, r
                     changed = True
                     if piece:

@@ -8,15 +8,15 @@ no literal 0, no tautological clause, set semantics everywhere.
 
 Where clauses come from outside a Formula, they are validated: the public
 Formula(...) constructor checks every clause through make_clause, and
-rename() checks its mapping (positive ids, injective) before it maps a
-literal. The closed operations on valid formulas -- union of any number,
-product of variable-disjoint operands, K^- as K minus a clause, the width
-partition, and substitute (F' x G u F'', the step of both calculus rules
-and both constructions) -- build their result with the private
-Formula._of, used only in this module, which trusts its clauses: a subset
-or union of valid clauses is valid, and so is c1 | c2 when c1 and c2 share
-no variable. Checking them again would repeat the whole per-literal scan
-at every step of a construction.
+rename() checks its mapping (positive ids, injective, covering every
+variable) before it maps a literal. The closed operations on valid
+formulas -- union of any number, product of variable-disjoint operands,
+K^- as K minus a clause, the width partition, and substitute (F' x G u
+F'', the step of both calculus rules and both constructions) -- build
+their result with the private Formula._of, used only in this module, which
+trusts its clauses: a subset or union of valid clauses is valid, and so is
+c1 | c2 when c1 and c2 share no variable. Checking them again would repeat
+the whole per-literal scan at every step of a construction.
 
 The same operations hand on the variable set, so a built formula is not
 scanned again for it. product, rename and substitute (for each part of the
@@ -96,9 +96,6 @@ class Formula:
 
     def __iter__(self) -> Iterator[Clause]:
         return iter(self.clauses)
-
-    def __contains__(self, clause) -> bool:
-        return frozenset(clause) in self.clauses
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Formula) and self.clauses == other.clauses
@@ -269,16 +266,18 @@ def fresh_copy(f: Formula, alloc: VarAllocator) -> Formula:
 
 
 def rename(f: Formula, mapping: Dict[int, int]) -> Formula:
-    """Apply an injective renaming of positive variable ids."""
+    """Apply an injective renaming of positive variable ids that covers
+    every variable of f; such a renaming keeps the clauses distinct."""
     if not all(isinstance(v, int) and v > 0
                for v in chain(mapping, mapping.values())):
         raise ValueError("renaming must map positive ids to positive ids")
     if len(set(mapping.values())) != len(mapping):
         raise ValueError("renaming is not injective")
-    clauses = _renamed(f.clauses, _literal_table(mapping))
-    if len(clauses) != len(f):
-        raise ValueError("renaming collapsed clauses")
-    return Formula._of(clauses, frozenset(map(mapping.__getitem__, f.vars)))
+    missing = f.vars.difference(mapping)
+    if missing:
+        raise ValueError(f"renaming misses variable(s) {sorted(missing)}")
+    return Formula._of(_renamed(f.clauses, _literal_table(mapping)),
+                       frozenset(map(mapping.__getitem__, f.vars)))
 
 
 def _literal_table(mapping: Dict[int, int]) -> Dict[int, int]:

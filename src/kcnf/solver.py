@@ -360,12 +360,21 @@ class VerifyReport:
     n: int
     m: int
     k: int
-    width_uniform: bool
     widths: Tuple[int, ...]
     max_occurrence: int
     occ_cap: Optional[int] = None
-    occ_ok: Optional[bool] = None
     result: Optional[SolveResult] = None   # set when the solver ran
+
+    @property
+    def width_uniform(self) -> bool:
+        return self.widths in ((), (self.k,))
+
+    @property
+    def occ_ok(self) -> Optional[bool]:
+        """None without a cap, else whether every variable is within it."""
+        if self.occ_cap is None:
+            return None
+        return self.max_occurrence <= self.occ_cap
 
     @property
     def ok(self) -> bool:
@@ -408,13 +417,10 @@ def verify_instance(f: Formula, k: int, s: Optional[int] = None,
         n=len(census.total),   # the variables that occur
         m=len(f),
         k=k,
-        width_uniform=widths in ((), (k,)),
         widths=widths,
         max_occurrence=census.max_occurrence,
+        occ_cap=s,
     )
-    if s is not None:
-        report.occ_cap = s
-        report.occ_ok = census.max_occurrence <= s
     if run_solver:
         report.result = solve(f, budget=budget)
     return report

@@ -9,16 +9,18 @@ from kcnf.calculus import (
     OP_AXIOM,
     OP_COMPOSE,
     OP_SPLIT,
+    NodeInfo,
     TraceNode,
     _splittable,
+    _summary,
     annotate_trace,
     axiom,
     compose,
-    compose_requirement,
+    compose_step,
     parse_trace,
     serialize_trace,
     split,
-    split_requirement,
+    split_step,
 )
 from kcnf.formula import (Formula, VarAllocator, complete_formula, fresh_copy,
                           occurrence_census, width_partition)
@@ -90,7 +92,7 @@ class TestSplit:
         alloc = VarAllocator()
         df = axiom(4)
         for w in range(1, 4):
-            assert split_requirement(df) == 2 ** w
+            assert split_step(4, _summary(df)).requirement == 2 ** w
             df = split(df, 100, alloc=alloc)
             assert df.width == w and df.size == 2 ** w
             assert _splittable(df.incomplete, df.complete)
@@ -152,13 +154,34 @@ class TestCompose:
         assert occurrence_census(lit.formula).max_occurrence == 4
 
     def test_requirement_examples(self):
-        assert compose_requirement(3, 0, 1, 1, 2) == 5
-        assert compose_requirement(3, 1, 2, 1, 2) == 3
-        assert compose_requirement(2, 1, 1, 1, 1) == 2
-        with pytest.raises(CalculusError):
-            compose_requirement(3, 2, 1, 1, 1)
-        with pytest.raises(CalculusError):
-            compose_requirement(3, 1, 3, 1, 1)
+        def need(k, w1, w2, m1, m2):
+            return compose_step(k, NodeInfo(w1, m1, 0, 0),
+                                NodeInfo(w2, m2, 0, 0)).requirement
+
+        assert need(3, 0, 1, 1, 2) == 5
+        assert need(3, 1, 2, 1, 2) == 3
+        assert need(2, 1, 1, 1, 1) == 2
+        with pytest.raises(CalculusError, match=r"width\(left\)"):
+            need(3, 2, 1, 1, 1)
+        with pytest.raises(CalculusError, match="finished"):
+            need(3, 1, 3, 1, 1)
+
+    def test_state_rules_and_annotation_share_their_messages(self):
+        chain1 = split(axiom(2), 100)
+        done = split(chain1, 100)
+        with pytest.raises(CalculusError,
+                           match="^cannot split a finished derivation$"):
+            split(done, 100)
+        with pytest.raises(CalculusError,
+                           match="^cannot compose a finished derivation$"):
+            compose(axiom(2), done, 100)
+        text = "0 AXIOM\n1 SPLIT 0\n2 SPLIT 1\n3 {} 2\nFINAL 3\n"
+        with pytest.raises(CalculusError, match="^node 3: cannot split a "
+                           "finished derivation$"):
+            annotate_trace(parse_trace(text.format("SPLIT")), 2)
+        with pytest.raises(CalculusError, match="^node 3: cannot compose a "
+                           "finished derivation$"):
+            annotate_trace(parse_trace(text.format("COMPOSE 2")), 2)
 
     def test_requirement_enforced(self):
         chain1 = split(axiom(3), 100)
@@ -208,8 +231,7 @@ class TestCompose:
         narrow = compose(axiom(3), wide, 100, alloc=alloc)
         assert narrow.width == 1 and narrow.size == 1
         other = split(axiom(3), 100, alloc=alloc)
-        need = compose_requirement(3, narrow.width, other.width,
-                                   narrow.size, other.size)
+        need = compose_step(3, _summary(narrow), _summary(other)).requirement
         assert need == 5
         assert compose(narrow, other, need, alloc=alloc).is_final
 
@@ -246,8 +268,8 @@ class TestRandomDerivations:
                     if d2.formula.vars & d1.formula.vars:
                         d2 = width_partition(fresh_copy(d2.formula, alloc), k)
                     d = k - d2.width
-                    need = compose_requirement(k, d1.width, d2.width,
-                                               d1.size, d2.size)
+                    need = compose_step(k, _summary(d1),
+                                        _summary(d2)).requirement
                     res = compose(d1, d2, big, alloc=alloc)
                     # the block is drawn first: the d least fresh ids
                     n0 = min(res.formula.vars - d1.formula.vars
@@ -320,6 +342,7 @@ class TestTraces:
         "0 AXIOM\n1 SPLIT x\nFINAL 1\n",     # non-numeric ref
         "zero AXIOM\nFINAL 0\n",             # non-numeric id
         "0 AXIOM\nFINAL 0 0\n",              # FINAL arity
+        "0\nFINAL 0\n",                      # id with no op
     ])
     def test_parse_errors(self, text):
         with pytest.raises(CalculusError):

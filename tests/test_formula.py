@@ -188,6 +188,11 @@ def test_rename_rejects_nonpositive_images(mapping):
         rename(Formula([[1, 2], [1], [-2]]), mapping)
 
 
+def test_rename_rejects_a_mapping_that_misses_a_variable():
+    with pytest.raises(ValueError, match=r"misses variable\(s\) \[3\]"):
+        rename(Formula([[1, 2], [-1, 3]]), {1: 5, 2: 6})
+
+
 def test_rename_maps_literals_with_their_sign():
     f = Formula([[1, -2], [2, 3], [-1]])
     assert rename(f, {1: 7, 2: 5, 3: 9}) == Formula([[7, -5], [5, 9], [-7]])

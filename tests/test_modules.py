@@ -106,6 +106,10 @@ def test_each_decision_has_one_encoding():
     copied = (_dataclass_fields(solver, "VerifyReport")
               & _dataclass_fields(solver, "SolveResult"))
     assert not copied, f"VerifyReport copies SolveResult's {sorted(copied)}"
+    # and it derives what follows from its own fields
+    stored = (_dataclass_fields(solver, "VerifyReport")
+              & {"width_uniform", "occ_ok"})
+    assert not stored, f"VerifyReport stores derivable {sorted(stored)}"
 
 
 def test_dp_steps_use_the_trace_ops():
