@@ -1,8 +1,9 @@
 """Run the command-line interface as `python -m kcnf ...`."""
+# unreached: runs only as `python -m kcnf`, which tests start in a subprocess
 
 import sys
 
-from .cli import main
+from .cli import run
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -287,10 +287,3 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-
-def main() -> int:
-    return run()
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -221,6 +221,9 @@ def recommended_l(k: int, scheme: str) -> int:
 
     scheme 'lemma1': 2^l <= k * log2(e) / log2(k)^2, defined for k >= 4.
     scheme 'lemma2': 2^l <= log2(e) * k / (2 * log2(k)), defined for k >= 2.
+    Over those ranges the bound is at least 1.28 (lemma1, least at k = 7)
+    and 1.36 (lemma2, least at k = 3), so l = 0 always holds, and a
+    larger l is returned only once its own test has passed.
     The reported l may be 0 even where a builder needs l >= 1; callers
     decide how to handle that (the CLI uses l=1, with a note, where the
     builder takes it).
@@ -238,8 +241,6 @@ def recommended_l(k: int, scheme: str) -> int:
     l = 0
     while _holds(float(2 ** (l + 1)), bound):
         l += 1
-    if not _holds(float(2 ** l), bound):  # even l=0 can fail only by ties
-        return 0
     return l
 
 

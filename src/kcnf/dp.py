@@ -144,8 +144,8 @@ def _frontier_threshold(k: int, literal: bool, bound: int) -> Optional[_Piece]:
 
     Entry payloads live in a list indexed by seq, which doubles as the
     liveness test: a staircase displacement blanks the slot, and the stale
-    heap int is skipped on pop or swept out wholesale when dead entries
-    outnumber live ones. Provenance rides on the staircase.
+    heap int is skipped on pop or, after a settle, swept out wholesale when
+    dead entries outnumber live ones. Provenance rides on the staircase.
 
     Candidates are also suppressed when a pending piece at the counterpart
     operand's width promises a strictly smaller requirement: that promise
@@ -218,6 +218,7 @@ def _frontier_threshold(k: int, literal: bool, bound: int) -> Optional[_Piece]:
         live_n -= j - i
         seq = len(live)
         if seq > 0x0FFFFFFF:
+            # unreached: needs 2^28 pushes; k = 128 makes 123,129
             raise RuntimeError("push sequence exceeded packing capacity")
         ts[i:j] = [size]
         rs[i:j] = [req]
@@ -232,15 +233,9 @@ def _frontier_threshold(k: int, literal: bool, bound: int) -> Optional[_Piece]:
         push(w, pow2[w], pow2[w], (CHAIN,))
 
     while heap:
-        if len(heap) > 2 * live_n + 4096:
-            heap = [e for e in heap if live[e & 0x0FFFFFFF] is not None]
-            heapq.heapify(heap)
-            if not heap:
-                break
-        e = heap[0]
+        e = heapq.heappop(heap)
         if (e >> 28) > best_key:
             break
-        heapq.heappop(heap)
         rec = live[e & 0x0FFFFFFF]
         if rec is None:
             continue                    # superseded while queued
@@ -322,6 +317,11 @@ def _frontier_threshold(k: int, literal: bool, bound: int) -> Optional[_Piece]:
                 mt = min_size[width + 1]
                 if mt is None or 2 * size < mt:
                     push(width + 1, 2 * size, r, (OP_SPLIT, piece))
+        # only a settle pushes, so only a settle can leave the heap mostly
+        # dead; heap ints are distinct, so the sweep keeps the pop order
+        if len(heap) > 2 * live_n + 4096:
+            heap = [e for e in heap if live[e & 0x0FFFFFFF] is not None]
+            heapq.heapify(heap)
     return None if best_how is None else _Piece(k, 0, best, best_how)
 
 

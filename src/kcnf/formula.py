@@ -100,12 +100,6 @@ class Formula:
     def __eq__(self, other) -> bool:
         return isinstance(other, Formula) and self.clauses == other.clauses
 
-    def __hash__(self) -> int:
-        return hash(self.clauses)
-
-    def __repr__(self) -> str:
-        return f"Formula({len(self.clauses)} clauses, {len(self.vars)} vars)"
-
     def canonical_clauses(self) -> List[Clause]:
         """Clauses in the canonical (lexicographic) order."""
         return sorted(self.clauses, key=clause_sort_key)

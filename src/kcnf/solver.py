@@ -200,14 +200,18 @@ def solve(f: Formula, budget: int = DEFAULT_BUDGET) -> SolveResult:
                     open_count[u] += drop
 
     def propagate(lit: int, why: Optional[int]) -> Optional[int]:
-        """Make lit true, run unit propagation; return a conflict clause id."""
+        """Make lit true, run unit propagation; return a conflict clause id.
+
+        A queued unit whose literal is already set is skipped. It cannot be
+        false: the set_var that falsified it took the last free variable of
+        its clause's class while that clause was open, and so returned that
+        clause as the conflict before the stale entry was popped.
+        """
         nonlocal n_propagations
         queue = [(lit, why)]
         while queue:
             lit, why_ci = queue.pop()
             if value[lit]:
-                if value[lit] < 0:
-                    return why_ci   # why_ci is now falsified in full
                 continue
             if why_ci is not None:
                 n_propagations += 1

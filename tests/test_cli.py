@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -105,6 +106,14 @@ class TestConstruct:
                               "--out", str(tmp_path / "x.cnf"))
         assert code == 2
         assert "error:" in err
+
+    def test_failed_parameter_condition_is_usage_error(self, capsys,
+                                                       tmp_path):
+        code, _, err = invoke(capsys, "construct", "--method", "lemma2",
+                              "--k", "5", "--l", "-1",
+                              "--out", str(tmp_path / "x.cnf"))
+        assert code == 2
+        assert "parameter condition fails" in err
 
 
 _VERIFY_PINS = {
@@ -487,10 +496,19 @@ class TestPlumbing:
         assert run(["f2", "--k", "3"]) == 1
         assert capsys.readouterr().err == ""
 
-    def test_console_script_entry(self):
-        proc = subprocess.run([sys.executable, "-m", "kcnf.cli"],
-                              capture_output=True)
-        assert proc.returncode == 2
-        proc = subprocess.run(["kcnf", "f2", "--k", "3"],
-                              capture_output=True)
-        assert proc.returncode == 0 and proc.stdout == b"4\n"
+    def test_console_script_entry(self, tmp_path):
+        # run the declared target as the generated `kcnf` script would,
+        # whether or not the package is installed
+        root = Path(__file__).resolve().parents[1]
+        text = (root / "pyproject.toml").read_text(encoding="utf-8")
+        target = re.search(r'^\[project\.scripts\][^\[]*?'
+                           r'^kcnf\s*=\s*"([\w.]+):(\w+)"', text, re.M)
+        assert target, "pyproject.toml declares no kcnf script"
+        module, func = target.groups()
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys; from {module} import {func}; sys.exit({func}())",
+             "f2", "--k", "3"],
+            capture_output=True, cwd=tmp_path, env=env)
+        assert (proc.returncode, proc.stdout) == (0, b"4\n")

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from kcnf.calculus import DerivTrace, OP_AXIOM, TraceNode, annotate_trace
 from kcnf.constructions import (
     BOUNDS_CSV_HEADER,
     ConstructionSizeError,
@@ -26,6 +27,21 @@ from kcnf.constructions import (
 from kcnf.dimacs import write_dimacs
 from kcnf.formula import complete_formula, occurrence_census, width_partition
 from kcnf.solver import UNSAT, enumerate_models, solve
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: annotate_trace(DerivTrace((TraceNode(OP_AXIOM, ()),), 0), 0),
+     "k must be positive"),
+    (lambda: lll_lower_bound(0), "k must be positive"),
+    (lambda: bounds_row(0), "k must be positive"),
+    (lambda: complete_formula([0]), "variables must be positive"),
+    # without the check, -1 would build K over {1}
+    (lambda: complete_formula([-1]), "variables must be positive"),
+], ids=["annotate_trace", "lll_lower_bound", "bounds_row",
+        "complete_formula_zero", "complete_formula_negative"])
+def test_public_functions_validate_their_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 class TestBlockConstruction:
@@ -101,6 +117,10 @@ class TestStagedConstruction:
             lemma2_stage_stats(3, 1)
         with pytest.raises(ValueError):
             lemma2_build(9, 2)
+        # a negative l would pass the inequality: -0.5 <= log2(e) * 7
+        for k, l in ((5, -1), (0, 1)):
+            with pytest.raises(ValueError, match="parameter condition fails"):
+                lemma2_stage_stats(k, l)
 
     def test_build_l0_is_complete_formula(self):
         stages = lemma2_build(2, 0)

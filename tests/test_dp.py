@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import heapq
 import multiprocessing
+import re
 import sys
 import types
 
@@ -401,15 +402,24 @@ class TestMaterialize:
         assert len(formula) == annotate_trace(tr, k).nodes[tr.final].clauses
 
     def test_clause_count_checked_at_every_node(self, monkeypatch):
+        self._check_wrong_annotation(
+            monkeypatch, "clauses",
+            "node 3 realized 4 clauses, annotation says 5")
+
+    def test_size_checked_at_every_node(self, monkeypatch):
+        self._check_wrong_annotation(
+            monkeypatch, "size", "node 3 realized |F'| = 4, annotation says 5")
+
+    def _check_wrong_annotation(self, monkeypatch, field, message):
         k, s = 3, 5
         tr = feasible(k, s)
         ann = annotate_trace(tr, k)
         nodes = list(ann.nodes)
-        nodes[3] = dataclasses.replace(nodes[3], clauses=nodes[3].clauses + 1)
+        nodes[3] = dataclasses.replace(
+            nodes[3], **{field: getattr(nodes[3], field) + 1})
         wrong = dataclasses.replace(ann, nodes=tuple(nodes))
         monkeypatch.setattr(kcnf.dp, "annotate_trace", lambda *a, **kw: wrong)
-        with pytest.raises(MaterializeError,
-                           match="node 3 realized 4 clauses, annotation says 5"):
+        with pytest.raises(MaterializeError, match=re.escape(message)):
             materialize(tr, k, s)
 
     def test_self_pair_expands_disjoint_copies(self):
