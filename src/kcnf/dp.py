@@ -145,7 +145,9 @@ def _frontier_threshold(k: int, literal: bool, bound: int) -> Optional[_Piece]:
     Entry payloads live in a list indexed by seq, which doubles as the
     liveness test: a staircase displacement blanks the slot, and the stale
     heap int is skipped on pop or, after a settle, swept out wholesale when
-    dead entries outnumber live ones. Provenance rides on the staircase.
+    dead entries outnumber live ones. Provenance rides on the payload,
+    (width, size, req, how), so a settle builds its piece from the payload
+    alone; a staircase entry is (size, req, seq).
 
     Candidates are also suppressed when a pending piece at the counterpart
     operand's width promises a strictly smaller requirement: that promise
@@ -153,20 +155,31 @@ def _frontier_threshold(k: int, literal: bool, bound: int) -> Optional[_Piece]:
     good, so pushing now is pure churn.
 
     Each trick was taken out alone and timed against the rest (k = 128,
-    CPU-second medians of 8 interleaved runs, 2 vCPU, Python 3.11.7; 1.01
-    s with all of them). Without the promise the witnesses change and the
-    pushes go from 123,129 to 218,154. (key, seq) tuples in place of the
-    packed ints took 1.10 s, no dead-entry sweep 1.19 s, and max() in
-    place of the inline `if r < req` 1.20 s. by_size, the settled pieces
-    by size, orders the right-operand pushes, which decides inside a key
-    tie, and stops that scan at the first step past best. A width-order
-    scan took 1.06 s and gave the same traces (restricted k <= 160,
-    literal k <= 90), but the two orders differ at some settle in 70 of
-    270 runs checked, so the traces are not known to agree for every k.
+    bound T(k), CPU-second medians of 14 interleaved runs, 2 vCPU, Python
+    3.11.7; 0.73 s with all of them). The earlier form of this loop, with
+    parallel size, requirement, step and seq lists per width, three tests
+    per right-operand entry and the finish inside the d loop, took 0.85 s.
+    Size, requirement and seq lists in place of the tuple staircase, all
+    else as here, ran as fast (median time ratio 0.99 over 14 more pairs),
+    so the one list stays. Without the promise the witnesses change, the
+    pushes go from 123,129 to 218,154, and the run takes 1.04 s. (key,
+    seq) tuples in place of the packed ints took 0.78 s, no dead-entry
+    sweep 0.85 s, and max() in place of the inline `if r < req` in the
+    operand loops 0.87 s. A first test of push against the staircase's
+    last entry, which the bisect tests cover, won 10 of 14 pairs at k =
+    62, 79, 95 together and 6 of 14 at k = 128, so it is gone. by_size,
+    the settled pieces by size, orders the right-operand pushes, which
+    decides inside a key tie, and stops that scan at the first step whose
+    requirement would pass best - 1 or what the settling piece's own
+    staircase still promises. A width-order scan took 0.75 s and gave the
+    same traces (restricted k <= 160, literal k <= 90), but the two orders
+    differ at some settle in 70 of 270 runs checked, so the traces are not
+    known to agree for every k.
     """
     pow2 = [1 << i for i in range(k + 1)]
     factor = [p - 1 for p in pow2]
-    best = pow2[k]                      # the pure split chain
+    none = pow2[k]                      # no piece: every settled size is below
+    best = none                         # the pure split chain
     best_how: Optional[Tuple] = (CHAIN,)
 
     def keyf(x: int) -> int:
@@ -179,52 +192,43 @@ def _frontier_threshold(k: int, literal: bool, bound: int) -> Optional[_Piece]:
         best, best_how = edge, None
     best_key = keyf(best - 1)
     heap: List[int] = []
-    live: List[Optional[Tuple[int, int, int]]] = []  # seq -> (width, size, req)
+    # seq -> (width, size, req, how), None once displaced or settled
+    live: List[Optional[Tuple[int, int, int, Tuple]]] = []
     live_n = 0
     # per width, the smallest settled size so far; pieces settle in req
     # order, so an earlier settle never loses on requirement and the
     # running minimum is the only piece a later pairing needs
-    min_size: List[Optional[int]] = [None] * k
+    min_size = [none] * k
     min_piece: List[Optional[_Piece]] = [None] * k
     # settled (size, width) sorted by size, so the right-operand scan can
     # stop as soon as the step cost clears the bound
     by_size: List[Tuple[int, int]] = []
-    # per width, the pending-candidate Pareto staircase: sizes ascending,
-    # requirements strictly descending; a candidate no better than a
-    # pending or settled one never enters the heap
-    pend_t: List[List[int]] = [[] for _ in range(k)]
-    pend_r: List[List[int]] = [[] for _ in range(k)]
-    pend_h: List[List[Tuple]] = [[] for _ in range(k)]
-    pend_q: List[List[int]] = [[] for _ in range(k)]
+    # per width, the pending-candidate Pareto staircase of (size, req, seq):
+    # sizes ascending, requirements strictly descending; a candidate no
+    # better than a pending or settled one never enters the heap
+    stair: List[List[Tuple[int, int, int]]] = [[] for _ in range(k)]
 
     def push(width: int, size: int, req: int, how: Tuple) -> None:
         nonlocal live_n
-        ts = pend_t[width]
-        rs = pend_r[width]
-        if rs and ts[-1] <= size and rs[-1] <= req:
+        st = stair[width]
+        i = bisect.bisect_left(st, (size,))
+        if i > 0 and st[i - 1][1] <= req:
             return
-        i = bisect.bisect_left(ts, size)
-        if i > 0 and rs[i - 1] <= req:
-            return
-        n = len(ts)
-        if i < n and ts[i] == size and rs[i] <= req:
+        n = len(st)
+        if i < n and st[i][0] == size and st[i][1] <= req:
             return
         j = i
-        while j < n and rs[j] >= req:
+        while j < n and st[j][1] >= req:
             j += 1
-        qs = pend_q[width]
-        for q in qs[i:j]:
+        for _, _, q in st[i:j]:
             live[q] = None
         live_n -= j - i
         seq = len(live)
         if seq > 0x0FFFFFFF:
             # unreached: needs 2^28 pushes; k = 128 makes 123,129
             raise RuntimeError("push sequence exceeded packing capacity")
-        ts[i:j] = [size]
-        rs[i:j] = [req]
-        pend_h[width][i:j] = [how]
-        qs[i:j] = [seq]
-        live.append((width, size, req))
+        st[i:j] = [(size, req, seq)]
+        live.append((width, size, req, how))
         live_n += 1
         heapq.heappush(heap, (keyf(req) << 28) | seq)
 
@@ -239,37 +243,32 @@ def _frontier_threshold(k: int, literal: bool, bound: int) -> Optional[_Piece]:
         rec = live[e & 0x0FFFFFFF]
         if rec is None:
             continue                    # superseded while queued
-        width, size, req = rec
+        width, size, req, _ = rec
         if req >= best or size + 1 >= best:
             # the staircase entry stays: as an improvement promise it only
             # ever suppressed candidates that are now past best anyway
             continue
-        # a surviving pop is exactly the live staircase entry at its size
-        ts = pend_t[width]
-        i = bisect.bisect_left(ts, size)
-        piece = _Piece(width, size, req, pend_h[width][i])
+        piece = _Piece(*rec)
         ms = min_size[width]
-        if ms is not None:
+        if ms < none:
             by_size.pop(bisect.bisect_left(by_size, (ms, width)))
         min_size[width] = size
         min_piece[width] = piece
         bisect.insort(by_size, (size, width))
-        # pending entries at this width that lost to the settled size
-        qs = pend_q[width]
-        for q in qs[i:]:
+        # a surviving pop is exactly the live staircase entry at its size;
+        # it and the pending entries that lost to it leave the staircase
+        st = stair[width]
+        i = bisect.bisect_left(st, (size,))
+        for _, _, q in st[i:]:
             live[q] = None
-        live_n -= len(qs) - i
-        del ts[i:]
-        del pend_r[width][i:]
-        del pend_h[width][i:]
-        del qs[i:]
-        rs = pend_r[width]
-        own_req = rs[-1] if rs else None
-        # as left operand: partner at width k - d (d = dfin pairs with the
-        # piece's own width and finishes); the step cost grows with d,
-        # hence the break. The partner staircase is the improvement promise.
+        live_n -= len(st) - i
+        del st[i:]
+        own_req = st[-1][1] if st else none
+        # as left operand: partner at width k - d; the step cost grows with
+        # d, hence the break. The partner staircase is the improvement
+        # promise.
         dfin = k - width
-        for d in range(1, dfin + 1):
+        for d in range(1, dfin):
             partner = min_piece[k - d]
             if partner is None:
                 continue
@@ -279,44 +278,38 @@ def _frontier_threshold(k: int, literal: bool, bound: int) -> Optional[_Piece]:
             r = t + partner.size
             if r < req:
                 r = req
-            if d == dfin:
-                if r < best:
-                    best, best_how = r, (OP_COMPOSE, piece, partner)
-                    best_key = keyf(best - 1)
-            elif r < best:
-                tgt = width + d
-                mt = min_size[tgt]
-                if mt is None or t < mt:
-                    pr = pend_r[k - d]
-                    if not pr or pr[-1] >= r:
-                        push(tgt, t, r, (OP_COMPOSE, piece, partner))
+            tgt = width + d
+            if r < best and t < min_size[tgt]:
+                ps = stair[k - d]
+                if not ps or ps[-1][1] >= r:
+                    push(tgt, t, r, (OP_COMPOSE, piece, partner))
+        else:
+            # d = dfin pairs the piece with itself and finishes
+            r = max(req, size << dfin)
+            if r < best:
+                best, best_how = r, (OP_COMPOSE, piece, piece)
+                best_key = keyf(best - 1)
         # as right operand: settled sources at narrower widths, cheapest
-        # size first so the scan can stop early; d is fixed here. The
-        # settling piece is the partner side, the source's staircase the
-        # other promise.
+        # size first; d is fixed here. The settling piece is the partner
+        # side, the source's staircase the other promise. A push needs
+        # t + size below best and within own_req (req < own_req on the
+        # staircase), and t grows along by_size, so lim ends the scan; a
+        # finish just found can leave best at req, and then nothing fits.
         fd = factor[dfin]
+        lim = min(best - 1, own_req) - size if req < best else -1
         for ss, w1 in by_size:
-            if w1 >= width:
-                continue
             t = fd * ss
-            if t + 1 >= best:
+            if t > lim:
                 break
-            tgt = w1 + dfin
-            mt = min_size[tgt]
-            if mt is not None and mt <= t:
-                continue
-            r = t + size
-            if r < req:
-                r = req
-            if r < best and (own_req is None or own_req >= r):
-                push(tgt, t, r, (OP_COMPOSE, min_piece[w1], piece))
-        # at width k - 1 the d = 1 self-compose above finishes at this cost
-        if literal and width < k - 1:
-            r = max(req, 2 * size)
-            if r < best and (own_req is None or own_req >= r):
-                mt = min_size[width + 1]
-                if mt is None or 2 * size < mt:
-                    push(width + 1, 2 * size, r, (OP_SPLIT, piece))
+            if w1 < width and t < min_size[w1 + dfin]:
+                r = t + size
+                push(w1 + dfin, t, r if r > req else req,
+                     (OP_COMPOSE, min_piece[w1], piece))
+        # at width k - 1 the d = 1 self-compose above finishes at this cost;
+        # 2 size fits under best and own_req exactly when size <= lim
+        if literal and width < k - 1 and size <= lim \
+                and 2 * size < min_size[width + 1]:
+            push(width + 1, 2 * size, max(req, 2 * size), (OP_SPLIT, piece))
         # only a settle pushes, so only a settle can leave the heap mostly
         # dead; heap ints are distinct, so the sweep keeps the pop order
         if len(heap) > 2 * live_n + 4096:

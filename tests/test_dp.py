@@ -77,6 +77,18 @@ WITNESS_SHA256 = {
         "c1f2bd0e59ea65d5bb35b4c988f3c60fef30c30174aa7caa4cff015dab33cedb",
 }
 
+# sha256 of the frontier's heap ints in push order, one per line, under
+# feasible's bound: a reorder inside a key tie keeps the push count but
+# can change the witness
+PUSH_ORDER_SHA256 = {
+    (64, False):
+        "1944f8389ceb3093adfa3734fdb9f1818470fb6f0aa247733252cb7a9d358d4a",
+    (96, False):
+        "cca2a2703f663f8b82a742408e2d3b4ace92f2e8182f2a6ffe3f2d14f10a0f20",
+    (40, True):
+        "fe58b78cec41a975dcc440ea44515f35136b96a10702a225d96ef07366850ac0",
+}
+
 
 def _frontier_witness(k, literal, t, bound):
     """The frontier's serialized witness, or None where feasible would
@@ -269,18 +281,22 @@ class TestFeasible:
                                          monkeypatch):
         # the pushes the frontier makes under feasible's bound; a pruning
         # change that lets another candidate into the heap, or keeps one
-        # out, shows here even where the witness stays the same
+        # out, shows here even where the witness stays the same, and so
+        # does a reorder inside a key tie
         t = f2_value(k, literal) + 1
-        count = [0]
+        items = []
 
         def heappush(heap, item):
-            count[0] += 1
+            items.append(item)
             heapq.heappush(heap, item)
 
         monkeypatch.setattr(kcnf.dp, "heapq", types.SimpleNamespace(
             heappush=heappush, heappop=heapq.heappop, heapify=heapq.heapify))
         assert _frontier_threshold(k, literal, bound=t).req == t
-        assert count[0] == pushes
+        assert len(items) == pushes
+        text = "\n".join(map(str, items))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            PUSH_ORDER_SHA256[k, literal]
 
     def test_literal_witness_can_need_free_splits(self):
         # below the restricted threshold the witness must split something
