@@ -106,8 +106,11 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         l = recommended_l(args.k, args.method)
         # lemma2 also takes l = 0, and l = 1 only where its condition holds
         if l < 1 and (args.method == "lemma1" or lemma2_condition(args.k, 1)):
-            print(f"note: recommended l = {l} is below the builder minimum, "
-                  f"using l = 1", file=sys.stderr)
+            why = (" is below the block construction's minimum"
+                   if args.method == "lemma1" else
+                   ", but the staged condition also holds at l = 1")
+            print(f"note: recommended l = {l}{why}, using l = 1",
+                  file=sys.stderr)
             l = 1
     if args.method == "lemma1":
         formula, stats = lemma1_build(args.k, l)
@@ -115,8 +118,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         formula, stats = lemma2_build(args.k, l)[-1]
     pairs: List[Tuple[str, object]] = [] if args.compact else [
         ("method", args.method),
-        ("k", stats.k),
-        ("l", stats.l),
+        ("k", args.k),
+        ("l", l),
         ("n", stats.n),
         ("m", stats.m),
         ("s", stats.max_occurrence),

@@ -56,8 +56,6 @@ def _holds(lhs: float, rhs: float) -> bool:
 class ConstructionStats:
     """Exact counts for one constructed formula (or one stage of one)."""
 
-    k: int
-    l: int
     n: int
     m: int
     max_occurrence: int
@@ -68,20 +66,18 @@ class ConstructionStats:
 # the substitution step both families are built from
 
 
-def _base_stats(k: int, l: int, w: int) -> ConstructionStats:
+def _base_stats(k: int, w: int) -> ConstructionStats:
     """Counts for K on w variables, the formula both families start from."""
-    return ConstructionStats(k=k, l=l, n=w, m=2 ** w, max_occurrence=2 ** w,
+    return ConstructionStats(n=w, m=2 ** w, max_occurrence=2 ** w,
                              incomplete_size=2 ** w if w < k else 0)
 
 
-def _step_stats(k: int, l: int, kj: int, d: int,
+def _step_stats(k: int, kj: int, d: int,
                 prev: ConstructionStats) -> ConstructionStats:
     """Closed-form counts of _step(k, kj, d, F) for an F counted by prev."""
     u = kj // d
     core = 2 ** (kj - u * d) * (2 ** d - 1) ** u      # clauses gluing all blocks
     return ConstructionStats(
-        k=k,
-        l=l,
         n=kj + u * prev.n,
         m=core + u * prev.m,
         max_occurrence=max(prev.max_occurrence, core + prev.incomplete_size),
@@ -113,7 +109,7 @@ def _step(k: int, kj: int, d: int, prev: WidthPartition) -> WidthPartition:
 
 
 def _check(part: WidthPartition, st: ConstructionStats, kj: int) -> Formula:
-    """Assert st's exact counts and width kj below st.k; return the formula."""
+    """Assert st's exact counts and F' of width kj; return the formula."""
     formula = part.formula
     assert len(formula) == st.m, "clause collision in construction"
     assert len(formula.vars) == st.n
@@ -127,27 +123,21 @@ def _check(part: WidthPartition, st: ConstructionStats, kj: int) -> Formula:
 # block construction
 
 
-def lemma1_params(k: int, l: int) -> Tuple[int, int]:
-    """(u, v) with u = floor(k/l) blocks and v = k - l*u leftover variables."""
-    if not 1 <= l <= k:
-        raise ValueError(f"need 1 <= l <= k, got l={l}, k={k}")
-    u = k // l
-    return u, k - l * u
-
-
 def lemma1_stats(k: int, l: int) -> ConstructionStats:
     """Closed-form counts; no formula is materialized."""
-    lemma1_params(k, l)                    # rejects l outside 1..k
-    return _step_stats(k, l, k, l, _base_stats(k, l, k - l))
+    if not 1 <= l <= k:
+        raise ValueError(f"need 1 <= l <= k, got l={l}, k={k}")
+    return _step_stats(k, k, l, _base_stats(k, k - l))
 
 
 def lemma1_build(k: int, l: int) -> Tuple[Formula, ConstructionStats]:
     """Materialize the block construction: one step over K on k-l variables.
 
-    Variable layout (ids ascending): the v leftover variables, then the u
-    x-blocks of size l, then the u y-blocks of size k-l, each a renamed
-    copy of that K. The result is a width-uniform unsatisfiable k-CNF
-    whose census matches lemma1_stats exactly (asserted here).
+    Variable layout (ids ascending): the v = k - l*u leftover variables,
+    then the u = floor(k/l) x-blocks of size l, then the u y-blocks of size
+    k-l, each a renamed copy of that K. The result is a width-uniform
+    unsatisfiable k-CNF whose census matches lemma1_stats exactly
+    (asserted here).
     """
     stats = lemma1_stats(k, l)
     if stats.m > DEFAULT_CLAUSE_CAP:
@@ -179,9 +169,9 @@ def lemma2_stage_stats(k: int, l: int) -> List[ConstructionStats]:
     """Closed-form per-stage counts for stages j = 0..l."""
     if not lemma2_condition(k, l):
         raise ValueError(f"parameter condition fails for k={k}, l={l}")
-    stats = [_base_stats(k, l, k - l)]
+    stats = [_base_stats(k, k - l)]
     for j in range(1, l + 1):
-        stats.append(_step_stats(k, l, k - l + j, l - j + 1, stats[-1]))
+        stats.append(_step_stats(k, k - l + j, l - j + 1, stats[-1]))
     return stats
 
 

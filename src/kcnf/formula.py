@@ -34,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from operator import neg
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 Clause = FrozenSet[int]
 Assignment = Dict[int, bool]
@@ -93,9 +93,6 @@ class Formula:
 
     def __len__(self) -> int:
         return len(self.clauses)
-
-    def __iter__(self) -> Iterator[Clause]:
-        return iter(self.clauses)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Formula) and self.clauses == other.clauses
@@ -191,10 +188,6 @@ class WidthPartition:
         """|F'|, the quantity the occurrence requirements are charged on."""
         return len(self.incomplete)
 
-    @property
-    def is_final(self) -> bool:
-        return not self.incomplete.clauses
-
     def union(self, *others: "WidthPartition") -> "WidthPartition":
         return WidthPartition(
             self.k, self.incomplete.union(*[p.incomplete for p in others]),
@@ -211,7 +204,7 @@ def width_partition(f: Formula, k: int) -> WidthPartition:
         raise ValueError(f"clause of width {max(widths)} exceeds k={k}")
     if len(widths - {k}) > 1:
         raise ValueError(f"F' has mixed widths {sorted(widths - {k})}")
-    narrow = frozenset(c for c in f if len(c) < k)
+    narrow = frozenset(c for c in f.clauses if len(c) < k)
     return WidthPartition(k, Formula._of(narrow),
                           Formula._of(f.clauses - narrow))
 

@@ -57,12 +57,12 @@ class TestDerivedState:
     def test_axiom(self):
         a = axiom(3)
         assert a.width == 0 and a.size == 1
-        assert _splittable(a.incomplete, a.complete) and not a.is_final
+        assert _splittable(a.incomplete, a.complete)
         assert a.formula == Formula([[]])
 
     def test_complete_formula_is_final(self):
         df = width_partition(complete_formula([1, 2]), 2)
-        assert df.is_final and df.width == 2 and df.size == 0
+        assert df.width == 2 and df.size == 0
 
     def test_mixed_subwidth_rejected(self):
         with pytest.raises(ValueError, match="mixed widths"):
@@ -98,7 +98,7 @@ class TestSplit:
             assert _splittable(df.incomplete, df.complete)
             assert df.formula == complete_formula(range(1, w + 1))
         df = split(df, 100, alloc=alloc)
-        assert df.is_final and df.formula == complete_formula(range(1, 5))
+        assert df.size == 0 and df.formula == complete_formula(range(1, 5))
 
     def test_requirement_enforced(self):
         df = split(axiom(3), 10)
@@ -139,7 +139,7 @@ class TestCompose:
         assert occurrence_census(x1.formula).max_occurrence == 3
         assert final.formula == Formula(
             [[-2, -5], [-1, 2], [1, 2], [-4, 5], [-3, 4], [3, 4]])
-        assert final.is_final
+        assert final.size == 0
         assert len(final.formula) == 6 and len(final.formula.vars) == 5
         assert occurrence_census(final.formula).max_occurrence == 3
         assert solve(final.formula).status == UNSAT
@@ -198,7 +198,7 @@ class TestCompose:
         assert solve(g.formula).status == UNSAT
         gcopy = width_partition(fresh_copy(g.formula, alloc), 3)
         final = compose(g, gcopy, 100, alloc=alloc)
-        assert final.is_final
+        assert final.size == 0
         assert solve(final.formula).status == UNSAT
 
     def test_operand_checks(self):
@@ -233,7 +233,7 @@ class TestCompose:
         other = split(axiom(3), 100, alloc=alloc)
         need = compose_step(3, _summary(narrow), _summary(other)).requirement
         assert need == 5
-        assert compose(narrow, other, need, alloc=alloc).is_final
+        assert compose(narrow, other, need, alloc=alloc).size == 0
 
 
 class TestRandomDerivations:
@@ -246,7 +246,7 @@ class TestRandomDerivations:
             pool = [axiom(k)]
             for _ in range(rng.randint(2, 6)):
                 roll = rng.random()
-                open_states = [df for df in pool if not df.is_final]
+                open_states = [df for df in pool if df.size != 0]
                 if roll < 0.3 or not open_states:
                     pool.append(axiom(k))
                 elif roll < 0.6:

@@ -17,6 +17,7 @@ from kcnf.constructions import bounds_csv_row, bounds_row
 from kcnf.dimacs import read_dimacs, write_dimacs
 from kcnf.dp import f2_value, feasible
 from kcnf.formula import almost_complete_formula, complete_formula
+from test_dp import WITNESS_SHA256
 
 
 def invoke(capsys, *argv):
@@ -58,7 +59,8 @@ class TestConstruct:
                                  "--k", "8", "--out", str(out))
         assert code == 0
         assert "l=1" in text.splitlines()
-        assert "note:" in err and "l = 1" in err
+        assert err == ("note: recommended l = 0 is below the block "
+                       "construction's minimum, using l = 1\n")
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_lemma2_default_l_stays_zero_where_one_fails(self, capsys, k):
@@ -74,10 +76,15 @@ class TestConstruct:
         out = tmp_path / "c.cnf"
         runs = []
         for extra in ([], ["--l", "1"]):
-            code, text, _ = invoke(capsys, "construct", "--method", "lemma2",
-                                   "--k", str(k), *extra, "--out", str(out))
+            code, text, err = invoke(capsys, "construct", "--method",
+                                     "lemma2", "--k", str(k), *extra,
+                                     "--out", str(out))
             assert code == 0
             runs.append((text, out.read_bytes()))
+            # lemma2 builds at l = 0 too; the note says why l = 1 is taken
+            assert err == ("" if extra else
+                           "note: recommended l = 0, but the staged "
+                           "condition also holds at l = 1, using l = 1\n")
         assert runs[0] == runs[1]
 
     def test_compact_suppresses_stats(self, capsys, tmp_path):
@@ -232,6 +239,20 @@ class TestF2:
     def test_literal_mode_notes_on_stderr(self, capsys):
         code, text, err = invoke(capsys, "f2", "--k", "4", "--paper-literal")
         assert (code, text) == (0, "6\n")
+        assert "comparison only" in err
+
+    @pytest.mark.parametrize("k,f2", [(63, 467086816406250006),
+                                      (70, 52547266845703125006)])
+    def test_literal_trace_falls_back_to_the_search_witness(self, capsys, k,
+                                                            f2):
+        # the literal frontier overshoots T(63) and misses T(70), so the
+        # emitted trace is the search's derivation
+        code, text, err = invoke(capsys, "f2", "--k", str(k),
+                                 "--paper-literal", "--emit-trace", "-")
+        assert code == 0
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == WITNESS_SHA256[k, True])
+        assert err.splitlines()[-1] == str(f2)
         assert "comparison only" in err
 
     def test_bad_k_is_usage_error(self, capsys):

@@ -14,7 +14,6 @@ from kcnf.constructions import (
     bounds_csv_row,
     bounds_row,
     lemma1_build,
-    lemma1_params,
     lemma1_stats,
     lemma2_build,
     lemma2_condition,
@@ -46,13 +45,10 @@ def test_public_functions_validate_their_input(call, match):
 
 class TestBlockConstruction:
     def test_params(self):
-        assert lemma1_params(7, 2) == (3, 1)
-        assert lemma1_params(6, 2) == (3, 0)
-        assert lemma1_params(5, 5) == (1, 0)
         with pytest.raises(ValueError):
-            lemma1_params(3, 0)
+            lemma1_stats(3, 0)
         with pytest.raises(ValueError):
-            lemma1_params(3, 4)
+            lemma1_stats(3, 4)
 
     def test_known_counts(self):
         st = lemma1_stats(3, 1)
