@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .formula import (
     Formula,
@@ -155,8 +155,6 @@ def lemma2_condition(k: int, l: int) -> bool:
     """Parameter condition l * 2^l <= log2(e) * (k - 2l), conservatively."""
     if l < 0 or k < 1:
         return False
-    if l == 0:
-        return True
     return _holds(l * 2 ** l, LOG2E * (k - 2 * l))
 
 
@@ -276,17 +274,13 @@ def bounds_row(k: int) -> BoundsRow:
     """Best occurrence bounds both constructions give at this k."""
     if k < 1:
         raise ValueError("k must be positive")
-    best_s: Optional[int] = None
-    best_l = 1
-    for l in range(1, k + 1):
-        s = lemma1_stats(k, l).max_occurrence
-        if best_s is None or s < best_s:
-            best_s, best_l = s, l
+    best_l = min(range(1, k + 1),
+                 key=lambda l: lemma1_stats(k, l).max_occurrence)
     l2 = max(l for l in range(0, k + 1) if lemma2_condition(k, l))
     return BoundsRow(
         k=k,
         lll_lower=lll_lower_bound(k),
-        lemma1_s=best_s,
+        lemma1_s=lemma1_stats(k, best_l).max_occurrence,
         lemma1_l=best_l,
         lemma2_s=lemma2_occurrence_bound(k, l2),
         lemma2_l=l2,

@@ -75,8 +75,6 @@ def solve(f: Formula, budget: int = DEFAULT_BUDGET) -> SolveResult:
     unconstrained variable set True. budget caps the number of decisions;
     exceeding it yields TIMEOUT, never a wrong SAT/UNSAT answer.
     """
-    if not f.clauses:
-        return SolveResult(SAT, {}, 0, 0, 0)
     if frozenset() in f.clauses:
         return SolveResult(UNSAT, None, 0, 0, 0)
 
@@ -299,9 +297,8 @@ def solve(f: Formula, budget: int = DEFAULT_BUDGET) -> SolveResult:
 
     # top-level units before any decision
     for ci, lits in enumerate(clauses):
-        if len(lits) == 1 and not value[lits[0]]:
-            if propagate(lits[0], ci) is not None:
-                return SolveResult(UNSAT, None, 0, n_propagations, 0)
+        if len(lits) == 1 and propagate(lits[0], ci) is not None:
+            return SolveResult(UNSAT, None, 0, n_propagations, 0)
 
     while True:
         v = next_decision()
@@ -405,7 +402,7 @@ class VerifyReport:
         res = self.result
         if res is not None:
             out.append(f"solver = {res.status}")
-            if res.status == SAT and res.witness is not None:
+            if res.status == SAT:
                 lits = [v if val else -v for v, val in sorted(res.witness.items())]
                 out.append("model = " + " ".join(map(str, lits)))
         return out

@@ -7,6 +7,7 @@ normalized by the cores actually available, and its hard bound checks run
 regardless of whether the table finished in time.
 """
 
+import hashlib
 import math
 import os
 import random
@@ -229,6 +230,10 @@ def test_08_materialized_witnesses(tmp_path, capsys):
            not bad, "; ".join(bad))
 
 
+TABLE_512_SHA256 = \
+    "4b207af0dde6df11d4e493effb193aa0f0bc5f1602beffadc8d5b6da8392408b"
+
+
 def test_09_scale_and_performance(tmp_path):
     jobs = min(4, os.cpu_count() or 1)
     budget = 600.0 * 4 / jobs
@@ -258,6 +263,10 @@ def test_09_scale_and_performance(tmp_path):
     reached = max(rows, default=0)
 
     hard_bad = []
+    # the whole table, frozen from an earlier run; the same for every jobs
+    if completed and hashlib.sha256(csv.read_bytes()).hexdigest() != \
+            TABLE_512_SHA256:
+        hard_bad.append("table sha256 differs")
     for k in (16, 64, 256, 512):
         f2 = rows.get(k)
         if f2 is None:
@@ -270,7 +279,7 @@ def test_09_scale_and_performance(tmp_path):
               f"delta_8lnk={norm - 8 * math.log(k):+.4f}")
 
     runtime_ok = completed and elapsed <= budget
-    report(9, "f2 table to k=512 within budget, norms above 1/e",
+    report(9, "f2 table to k=512 within budget, as pinned, norms above 1/e",
            runtime_ok and not hard_bad,
            f"jobs={jobs} budget={budget:.0f}s elapsed={elapsed:.0f}s "
            f"reached k={reached} hard={hard_bad or 'ok'}")

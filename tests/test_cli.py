@@ -442,6 +442,15 @@ class TestTables:
                             "lemma2_s,lemma2_l,line_a,line_b,line_d")
         assert lines[1] == bounds_csv_row(bounds_row(3))
 
+    def test_bounds_csv_pinned(self, capsys):
+        # the whole bounds table for k = 1..200, frozen from an earlier
+        # run; bounds_row picks each column's l
+        code, text, _ = invoke(capsys, "bounds", "--k-from", "1",
+                               "--k-to", "200", "--out", "-")
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "cf5b4765e28baacf103448ca9176e1129e1ab33935629a13b5b951c76b2cabbd"
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_nonpositive_jobs_is_usage_error(self, capsys, tmp_path, jobs):
         out = tmp_path / "f2.csv"

@@ -94,6 +94,11 @@ PUSH_ORDER_SHA256 = {
 SEARCH_WITNESS_SHA256 = \
     "b44c264e4c4cdc49252aa37882161b25fc78645661b036f109aa3925122e1e44"
 
+# one sha256 over serialize_trace(feasible(k, f2 + 1)), the frontier
+# witnesses, for restricted k = 1..48 and then literal k = 1..48
+FRONTIER_WITNESS_SHA256 = \
+    "bba1775b5924b13ac0630e3c8ea44a328335c107c915f911cfe48af10febeb11"
+
 
 @pytest.fixture(scope="module")
 def restricted_thresholds():
@@ -195,6 +200,17 @@ class TestF2Value:
                 digest.update(serialize_trace(_trace_from_piece(
                     _search_witness(k, t, literal))).encode())
         assert digest.hexdigest() == SEARCH_WITNESS_SHA256
+
+    def test_frontier_witness_bytes_pinned(self):
+        # feasible's witnesses for every small k; the frontier's operand
+        # loops decide their bytes
+        digest = hashlib.sha256()
+        for literal in (False, True):
+            for k in range(1, 49):
+                f2 = f2_value(k, literal)
+                digest.update(serialize_trace(
+                    feasible(k, f2 + 1, literal)).encode())
+        assert digest.hexdigest() == FRONTIER_WITNESS_SHA256
 
     def test_staircase_closed_form(self, restricted_thresholds):
         # T(k) in closed form, a uniform-guard staircase; observed, not

@@ -23,6 +23,7 @@ from kcnf.solver import (
 def test_empty_formula_is_sat():
     res = solve(Formula([]))
     assert res.status == SAT and res.witness == {}
+    assert (res.decisions, res.propagations, res.conflicts) == (0, 0, 0)
 
 
 def test_empty_clause_is_unsat():
