@@ -287,19 +287,16 @@ def bounds_row(k: int) -> BoundsRow:
     )
 
 
-def guide_line_d(k: int) -> float:
-    """Guide line d: the paper's shape f2(k) k / 2^k ~ 0.5 log2 k + 0.23."""
-    return 0.5 * math.log2(k) + 0.23
-
-
 def sig6(x: float) -> str:
     """Six significant digits, the one float format used in CSV output."""
     return f"{x:.6g}"
 
 
 def guide_columns(k: int) -> List[str]:
-    """The guide-line CSV columns at k: line_a 1/e, line_b 8 ln k, line_d."""
-    return [sig6(1.0 / math.e), sig6(8.0 * math.log(k)), sig6(guide_line_d(k))]
+    """The guide-line CSV columns at k: line_a 1/e, line_b 8 ln k, and
+    line_d, the paper's shape f2(k) k / 2^k ~ 0.5 log2 k + 0.23."""
+    return [sig6(1.0 / math.e), sig6(8.0 * math.log(k)),
+            sig6(0.5 * math.log2(k) + 0.23)]
 
 
 BOUNDS_CSV_HEADER = "k,lll_lower,lemma1_s,lemma1_l,lemma2_s,lemma2_l,line_a,line_b,line_d"

@@ -24,14 +24,12 @@ operand's size, so one check is a least fixpoint over the k widths: O(k^2)
 a pass, a few passes. An infeasible check yields the least cost of a step
 it rejected, a lower bound on T(k); a feasible one yields the requirement
 of the derivation it found, an upper bound. The bracket closes on T(k)
-after a few checks. The first probe comes from the paper's shape, T(k) ~
-(0.5 log2 k + 0.23) 2^k / k (guide line d), unless the caller has a better
-guess: f2_table guesses from f2(k - 1), feasible from its cap s. Guessed,
-the search takes two or three checks; from the guide line, two to four
-for every restricted k from 10 to 300. Where the first probe lies above
-T(k) (for the guide line, restricted k in 80..85, 180..234 and past 430),
-the next probe is a cap just under the derivation that check found, not
-the midpoint of [1, hi], so the bracket does not bisect up from 1.
+after a few checks. The first probe is one below the closed form
+staircase_threshold(k), which equals T(k) for every restricted k from 3
+to 160 and at 256 (observed, not proven). There the check at T(k) - 1
+rejects a step of cost exactly T(k), and the check at T(k) finishes: two
+checks. Where the form is off (k = 2, and literal mode, whose T(k) is at
+most the restricted one) the bracket still closes on T(k), only later.
 
 feasible builds its witness traces from the frontier fixpoint, which finds
 T(k) in one uniform-cost expansion of the pieces instead. Per width only
@@ -77,7 +75,7 @@ from .calculus import (
     compose,
     split,
 )
-from .constructions import DEFAULT_CLAUSE_CAP, guide_columns, guide_line_d
+from .constructions import DEFAULT_CLAUSE_CAP, guide_columns
 from .formula import Formula, VarAllocator, occurrence_census
 
 
@@ -409,37 +407,50 @@ def _start(k: int) -> Tuple[List[int], List[int]]:
     return [1] + [1 << k] * k, [0] * (k + 1)
 
 
-def _threshold_search(k: int, literal: bool = False,
-                      guess: Optional[int] = None) -> int:
-    """T(k) by a bracketed search over fixed-cap checks.
+def staircase_threshold(k: int) -> int:
+    """T(k) in closed form, from staircases of uniform guards; observed, not
+    proven, and only the search's first probe.
+
+    L_d(w) = (2^d - 1)^floor(w/d) 2^(w mod d) is the cheapest size at width
+    w built from d-blocks, and c_d(k), the cheapest step with a guard width
+    e that would reach width k - d + 1, is the least over e = d..k - d + 1
+    of (2^e - 1) L_d(k - d + 1 - e) + L_d(k - e). The form is the largest
+    c_d(k). d is scanned to the bit length of k, not to (k + 1) / 2: the
+    largest term lies at d = 5 at k = 160 and at 6 at k = 256, and the
+    tests check the shorter scan against the full one there.
+    """
+    best = 0
+    for d in range(1, min((k + 1) // 2, k.bit_length()) + 1):
+        g = (1 << d) - 1
+        stair = [1 << w for w in range(d)]
+        for w in range(d, k - d + 1):
+            stair.append(g * stair[w - d])
+        best = max(best, min(((1 << e) - 1) * stair[k - d + 1 - e]
+                             + stair[k - e] for e in range(d, k - d + 2)))
+    return best
+
+
+def _threshold_search(k: int, literal: bool, probe: int) -> int:
+    """T(k) by a bracketed search over fixed-cap checks, probe the first cap.
 
     The bracket [lo, hi] holds T(k); the split chain puts hi at 2^k. Each
     check probes a cap lo <= s < hi and either raises lo past s or lowers
-    hi to at most s, so the bracket strictly narrows and closes at T(k).
-    After an infeasible check the next probe is the new lo itself, which
-    is very often T(k) exactly. The first probe is a cap just under the
-    guess at T(k) or else the guide line's, and while lo is still 1 a
-    feasible check is followed by a cap just under the new hi; otherwise
-    the probe is 0, never in [lo, hi), which stands for the midpoint. A
-    check starts from the fixpoint of the last infeasible one: that was
-    taken under a lower cap, so all of its pieces are still derivable.
+    hi to at most s, so the bracket strictly narrows and closes at T(k),
+    whatever the first probe. After an infeasible check the next probe is
+    the new lo itself, which is very often T(k) exactly; after a feasible
+    one, or for a first probe outside [lo, hi), it is the midpoint. A check
+    starts from the fixpoint of the last infeasible one: that was taken
+    under a lower cap, so all of its pieces are still derivable.
 
     Each trick was taken out alone and timed against the rest
-    (f2_table(1, 160), 353 checks; CPU-second medians of 24 interleaved
-    runs, 2 vCPU, Python 3.11.7, a shared host; 1.08 s with all of them,
-    interquartile 1.02-1.27 s). Each check from the start in place of the
-    last infeasible fixpoint took 1.22 s (slower in 21 of 24 pairs), the
-    midpoint in place of the cap under hi 1.20 s (19 of 24; 575 checks),
-    and no early stop at a finish within lo (known = 0) 1.54 s (22 of
-    24). Without the check's d-loop break the table took 1.01 s, slower
-    in only 8 of 24 pairs, so the break is gone; the 2^k sentinel turns
-    away a missing left operand like any step over the cap.
+    (f2_table(1, 160), 320 checks; CPU-second medians of 14 interleaved
+    runs, 2 vCPU, Python 3.11.7, a shared host; 0.98 s with both,
+    interquartile 0.96-1.03 s). Each check from the start in place of the
+    last infeasible fixpoint took 1.12 s, and no early stop at a finish
+    within lo (known = 0) 1.40 s, each slower in 14 of 14 pairs.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
     lo, hi = 1, 1 << k
     base = _start(k)
-    probe = _guide_probe(k) if guess is None else guess - (guess >> 6)
     while lo < hi:
         if not lo <= probe < hi:
             probe = (lo + hi) // 2
@@ -447,16 +458,10 @@ def _threshold_search(k: int, literal: bool = False,
         ok, bound = _capped_fixpoint(k, probe, size, req, lo, literal)
         if ok:
             hi = bound
-            probe = hi - (hi >> 6) if lo == 1 else 0
         else:
             lo = probe = bound
             base = size, req
     return lo
-
-
-def _guide_probe(k: int) -> int:
-    """A first cap from the paper's shape, T(k) ~ guide_line_d(k) 2^k / k."""
-    return (round(guide_line_d(k) * (1 << 32)) << k) // (k << 32)
 
 
 def _search_witness(k: int, t: int, literal: bool) -> _Piece:
@@ -471,10 +476,12 @@ def f2_value(k: int, literal: bool = False) -> int:
     """Largest cap s at which the calculus cannot finish at width k.
 
     Found by the bracketed search over fixed-cap checks, without the
-    frontier fixpoint, starting from guide line d's (0.5 log2 k + 0.23)
-    2^k / k; feasible still takes its witness traces from the frontier.
+    frontier fixpoint, its first probe one below staircase_threshold(k);
+    feasible still takes its witness traces from the frontier.
     """
-    return _threshold_search(k, literal) - 1
+    if k < 1:
+        raise ValueError("k must be positive")
+    return _threshold_search(k, literal, staircase_threshold(k) - 1) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +494,10 @@ def feasible(k: int, s: int, literal: bool = False) -> Optional[DerivTrace]:
     The returned trace is the threshold witness, so it is the same for
     every s at or above the threshold (and annotates to required_s =
     f2(k) + 1), except that a generous s >= 2^k short-circuits to the
-    plain split chain. The search is guessed from s and finds T(k) in two
-    checks at s = T(k). The witness is then the finishing piece of the
+    plain split chain. The search's first probe is one below the lower of
+    s and the closed form: for feasible(k, f2(k) + 1, literal=True) s is
+    the better one, since the closed form is the restricted T(k) and the
+    literal one is at most that. The witness is then the finishing piece of the
     frontier bounded by T(k) (see _frontier_threshold) if its trace
     annotates to T(k), else the finishing piece of one search check at
     cap T(k).
@@ -499,7 +508,7 @@ def feasible(k: int, s: int, literal: bool = False) -> Optional[DerivTrace]:
         raise ValueError("s must be positive")
     if s >= 2 ** k:
         return _trace_from_piece(_Piece(k, 0, 1 << k, (CHAIN,)))
-    t = _threshold_search(k, literal, guess=s)
+    t = _threshold_search(k, literal, min(s, staircase_threshold(k)) - 1)
     if s < t:
         return None
     root = _frontier_threshold(k, literal, bound=t)
@@ -676,35 +685,20 @@ def f2_csv_row(row: F2Row) -> str:
     ])
 
 
-def _f2_rows(k_from: int, k_to: int) -> Iterator[F2Row]:
-    guess = None
-    for k in range(k_from, k_to + 1):
-        t = _threshold_search(k, guess=guess)
-        guess = 2 * t
-        yield F2Row(k=k, f2=t - 1)
-
-
-# consecutive k per pool task: the search guesses T(k) as 2 T(k - 1), so
-# only the first k of a task starts without a guess
-_TABLE_CHUNK = 16
-
-
-def _f2_chunk(args: Tuple[int, int]) -> List[F2Row]:
-    return list(_f2_rows(*args))
+def _f2_row(k: int) -> F2Row:
+    return F2Row(k=k, f2=f2_value(k))
 
 
 def f2_table(k_from: int, k_to: int, jobs: int = 1) -> Iterator[F2Row]:
-    """Stream rows for k_from..k_to; jobs > 1 fans out across processes."""
+    """Stream rows for k_from..k_to; jobs > 1 maps single k across processes."""
     if k_from < 1 or k_to < k_from:
         raise ValueError("need 1 <= k_from <= k_to")
-    chunks = [(a, min(a + _TABLE_CHUNK - 1, k_to))
-              for a in range(k_from, k_to + 1, _TABLE_CHUNK)]
-    workers = min(jobs, len(chunks))
+    ks = range(k_from, k_to + 1)
+    workers = min(jobs, len(ks))
     if workers <= 1:
-        yield from _f2_rows(k_from, k_to)
+        yield from map(_f2_row, ks)
         return
     import multiprocessing
 
     with multiprocessing.Pool(workers) as pool:
-        for rows in pool.imap(_f2_chunk, chunks):
-            yield from rows
+        yield from pool.imap(_f2_row, ks)

@@ -27,8 +27,10 @@ from kcnf.constructions import lemma1_build, lemma2_build
 from kcnf.dp import (
     CHAIN,
     DEFAULT_CLAUSE_CAP,
+    _capped_fixpoint,
     _frontier_threshold,
     _search_witness,
+    _start,
     _threshold_search,
     _trace_from_piece,
     F2_CSV_HEADER,
@@ -40,6 +42,7 @@ from kcnf.dp import (
     feasible,
     materialize,
     oracle_f2,
+    staircase_threshold,
 )
 from kcnf.formula import occurrence_census
 from kcnf.solver import UNSAT, solve
@@ -125,6 +128,29 @@ def _staircase_threshold(k):
         if c > best[0]:
             best = (c, d)
     return best
+
+
+def _certifies(k, s, low, literal):
+    """Whether low[w] bounds from below the size of every piece of width w
+    derivable within cap s >= 1 (2^k: none) and no finish fits within s.
+
+    The bound is an inductive invariant of the piece rules: every chain
+    that fits, the axiom included, is at least its entry, and every step
+    whose cheapest operands fit lands below width k on an entry no larger
+    than its output. The checker knows only the rules, not how low was
+    found.
+    """
+    for w1, m1 in enumerate(low):
+        if 1 << w1 <= s and m1 > 1 << w1:
+            return False
+        for d in range(1, k - w1 + 1):
+            t = ((1 << d) - 1) * m1
+            if t + low[k - d] <= s and (w1 + d == k or low[w1 + d] > t):
+                return False
+        # at width k - 1 the d = 1 self-compose above covers the split
+        if literal and w1 < k - 1 and 2 * m1 <= s and low[w1 + 1] > 2 * m1:
+            return False
+    return True
 
 
 def _frontier_witness(k, literal, t, bound):
@@ -224,6 +250,37 @@ class TestF2Value:
             assert _staircase_threshold(k)[0] == f2 + 1, k
         assert [_staircase_threshold(k)[1] for k in (10, 32, 82, 128, 160)] \
             == [3, 4, 5, 5, 5]
+        # the search's first probe scans d only to the bit length of k
+        for k in [*range(1, 161), 256]:
+            assert staircase_threshold(k) == _staircase_threshold(k)[0], k
+
+    def test_values_are_certified(self, restricted_thresholds):
+        # below T the sizes of one check at T - 1 are a lower certificate
+        # that the checker above confirms and at T rejects; at T the
+        # search's witness needs exactly T. The mutants raise the widest
+        # entry below its chain (none at small k) or mark the widest
+        # reachable width empty, and the checker must reject both
+        cases = [(k, t, False) for k, t in
+                 enumerate(restricted_thresholds, start=1)]
+        cases += [(k, f2_value(k, True) + 1, True) for k in range(1, 91)]
+        for k, t, literal in cases:
+            low, req = _start(k)
+            assert _capped_fixpoint(k, t - 1, low, req, 1, literal)[0] \
+                is False
+            low = low[:k]
+            assert _certifies(k, t - 1, low, literal), (k, literal)
+            assert not _certifies(k, t, low, literal), (k, literal)
+            below = [w for w in range(k) if low[w] < 1 << w]
+            edits = [(w, low[w] + 1) for w in below[-1:]]
+            edits.append((max(w for w in range(k) if low[w] < 1 << k),
+                          1 << k))
+            for w, value in edits:
+                mutant = list(low)
+                mutant[w] = value
+                assert not _certifies(k, t - 1, mutant, literal), \
+                    (k, literal, w)
+            trace = _trace_from_piece(_search_witness(k, t, literal))
+            assert annotate_trace(trace, k, literal).required_s == t
 
     @pytest.mark.parametrize("literal", [False, True])
     def test_search_finishes_at_two_to_the_k(self, literal):
@@ -236,20 +293,17 @@ class TestF2Value:
         assert annotate_trace(trace, 1, literal).required_s == 2
 
     def test_guess_only_steers_the_search(self):
-        for k in range(1, 33):
-            t = f2_value(k) + 1
-            for guess in (1, t // 3, t - 1, t, t + 1, 2 * t, 2 ** k):
-                assert _threshold_search(k, guess=guess) == t, (k, guess)
+        # a wrong first probe, outside the bracket or on either side of
+        # T, costs checks but never the value
+        for literal in (False, True):
+            for k in range(1, 33):
+                t = f2_value(k, literal) + 1
+                for probe in (0, 1, t // 3, t - 1, t, t + 1, 2 * t, 2 ** k):
+                    assert _threshold_search(k, literal, probe) == t, \
+                        (k, literal, probe)
 
-    @pytest.mark.parametrize("k", [80, 128, 200, 256])
-    def test_unguided_search_starts_near_the_threshold(self, k, monkeypatch):
-        # the first probe comes from guide line d, (0.5 log2 k + 0.23)
-        # 2^k / k; a midpoint start took 9 and 11 checks at 128 and 256.
-        # At 80 and 200 the line lies above T(k), and bisecting up from 1
-        # after that first feasible check took 7 checks at each
-        expected = {128: F2_128 + 1, 256: F2_256 + 1}.get(k)
-        if expected is None:
-            expected = _threshold_search(k)
+    @staticmethod
+    def _count_checks(monkeypatch):
         checks = []
         capped = kcnf.dp._capped_fixpoint
 
@@ -258,15 +312,32 @@ class TestF2Value:
             return capped(*args)
 
         monkeypatch.setattr(kcnf.dp, "_capped_fixpoint", counted)
-        assert _threshold_search(k) == expected
-        assert len(checks) <= 4, checks
+        return checks
 
-    def test_cli_rejects_nonpositive_k_before_the_guide_line(self, capsys):
-        # log2 k is taken only after k is validated
-        assert run(["f2", "--k", "0"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "error: k must be positive" in captured.err
+    @pytest.mark.parametrize("k", [80, 128, 200, 256])
+    def test_unguided_search_starts_near_the_threshold(self, k, monkeypatch):
+        # the closed form is T(k) here, so the check at T - 1 rejects a
+        # step of cost T and the check at T finishes
+        t = staircase_threshold(k)
+        checks = self._count_checks(monkeypatch)
+        assert f2_value(k) + 1 == t == {128: F2_128 + 1,
+                                         256: F2_256 + 1}.get(k, t)
+        assert checks == [t - 1, t]
+
+    def test_table_takes_two_checks_per_k(self, monkeypatch):
+        # 1 check at k = 1 (T = 2 = 2^1 closes the bracket), 3 at k = 2,
+        # where the form gives 2 against T = 3, and 2 from there on
+        checks = self._count_checks(monkeypatch)
+        list(f2_table(1, 160))
+        assert len(checks) == 320
+
+    def test_cli_rejects_nonpositive_k_before_the_closed_form(self, capsys):
+        # the closed form's shifts are taken only after k is validated
+        for k in ("0", "-3"):
+            assert run(["f2", "--k", k]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "error: k must be positive" in captured.err
 
 
 class TestFeasible:
@@ -577,14 +648,14 @@ class TestTable:
         assert serial == parallel
 
     def test_parallel_table_spans_tasks(self):
-        # several pool tasks, each starting its guesses afresh
+        # more k than workers, and a range that starts past k = 1
         serial = list(f2_table(1, 40))
         assert list(f2_table(1, 40, jobs=2)) == serial
         assert list(f2_table(30, 40)) == serial[29:]
 
     def test_pool_never_outnumbers_chunks(self, monkeypatch):
         # a stand-in Pool that records its size and maps in this process:
-        # one 16-k chunk takes the serial path, three chunks get 3 workers
+        # one k takes the serial path, else min(jobs, number of k) workers
         sizes = []
 
         class RecordingPool:
@@ -601,9 +672,10 @@ class TestTable:
                 return map(fn, items)
 
         monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-        assert list(f2_table(1, 10, jobs=8)) == list(f2_table(1, 10))
-        assert list(f2_table(1, 40, jobs=8)) == list(f2_table(1, 40))
-        assert sizes == [3]
+        assert list(f2_table(5, 5, jobs=8)) == list(f2_table(5, 5))
+        assert list(f2_table(1, 3, jobs=8)) == list(f2_table(1, 3))
+        assert list(f2_table(1, 10, jobs=2)) == list(f2_table(1, 10))
+        assert sizes == [3, 2]
 
     def test_threshold_at_most_doubles(self, restricted_thresholds):
         # T(k + 1) <= 2 T(k) for T = f2 + 1: observed, not proven
