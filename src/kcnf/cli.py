@@ -161,7 +161,8 @@ def _cmd_f2_table(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError("jobs must be positive")
     rows = f2_table(args.k_from, args.k_to, jobs=args.jobs)
-    _write_table(args.out, F2_CSV_HEADER, map(f2_csv_row, rows))
+    _write_table(args.out, F2_CSV_HEADER,
+                 (f2_csv_row(k, f2) for k, f2 in rows))
     return EXIT_OK
 
 

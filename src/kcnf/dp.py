@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from dataclasses import dataclass
 from decimal import Context, Decimal
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
@@ -314,50 +313,42 @@ def _frontier_threshold(k: int, literal: bool, bound: int) -> Optional[_Piece]:
 
 def _capped_fixpoint(k: int, s: int, size: List[int], req: List[int],
                      known: int, literal: bool,
-                     piece: Optional[List[Optional[_Piece]]] = None
-                     ) -> Tuple[bool, int]:
+                     piece: Optional[List[Optional[_Piece]]] = None) -> int:
     """One fixed-cap check: the least fixpoint of the smallest size per width.
 
-    size[w] is the smallest piece at width w found so far (2^k when there
-    is none: every piece under a cap below 2^k is smaller) and req[w] the
+    size[w] is the smallest piece at width w found so far and req[w] the
     requirement of the derivation that reached it. Both are updated in
-    place and must start from pieces derivable within s. A missing piece
-    needs no test of its own: a step from or onto the 2^k sentinel costs
-    more than 2^k, so more than s <= T(k) <= 2^k and more than least, which
-    starts at the chain finish's 2^k, and it is refused like any step over
-    the cap. Keeping only the smallest size per width loses nothing,
-    because a step's output size and its cost both grow with each
-    operand's size. Given a piece list (the axiom at width 0), the
-    derivations are kept there as well, and piece[k] gets the finishing
-    piece (width k, size 0), a compose: a literal split from width k - 1
-    costs what the piece's d = 1 self-compose does, which the check takes
-    first, so the split is a step only below k - 1.
+    place and start from _start's chains or from the fixpoint of a check
+    at a lower cap. A chain above s needs no test of its own: every step
+    that touches it costs more than its size, so it is refused like any
+    step over the cap. Keeping only the smallest size per width loses
+    nothing, because a step's output size and its cost both grow with each
+    operand's size. Given a piece list (the chains, then a slot for the
+    finish), the derivations are kept there as well, and piece[k] gets the
+    finishing piece (width k, size 0), a compose: a literal split from
+    width k - 1 costs what the piece's d = 1 self-compose does, which the
+    check takes first, so the split is a step only below k - 1.
 
-    Returns (True, r) when a finish fits within s, with r <= s the least
-    requirement among the finishing derivations found; T(k) <= r. The
-    check stops early at a finish with r <= known, a lower bound on T(k).
-    Returns (False, c) otherwise, with c > s the least cost of a rejected
-    step that would finish or add or shrink a piece at the fixpoint. Under
+    The list stays optional because only the witness needs it. Tracking
+    the pieces on every check of f2_table(1, 160) took 1.36-2.18 CPU
+    seconds, and keeping the pieces as the only table (size and req read
+    from them) 1.34-1.87 s, against 0.93-1.22 s without (6 interleaved
+    runs each, 2 vCPU, Python 3.11.7, a shared host).
+
+    Returns r <= s when a finish fits within s, the least requirement among
+    the finishing derivations found; T(k) <= r. The check stops early at a
+    finish with r <= known, a lower bound on T(k). Returns c > s otherwise,
+    the least cost of a rejected step that would finish or shrink a piece
+    at the fixpoint; the chain finish, at 2^k, is always such a step. Under
     any cap below c the same steps are taken and change the same sizes, so
     the fixpoint is the same and T(k) >= c.
     """
-    none = 1 << k
     factor = [(1 << d) - 1 for d in range(k + 1)]
-    best = none + 1                     # a finish may need exactly 2^k
+    best = s + 1
     changed = True
     while changed:
         changed = False
-        least = none                    # the chain finish is always a step
-        # the chain of width w: taken once 2^w fits, else a rejected step
-        for w in range(1, k):
-            c = 1 << w
-            if c < size[w]:
-                if c <= s:
-                    size[w] = req[w] = c
-                    if piece:
-                        piece[w] = _Piece(w, c, c, (CHAIN,))
-                elif c < least:
-                    least = c
+        least = 1 << k
         for w1 in range(k):
             m1 = size[w1]
             r1 = req[w1]
@@ -379,7 +370,7 @@ def _capped_fixpoint(k: int, s: int, size: List[int], req: List[int],
                             piece[k] = _Piece(k, 0, r, (OP_COMPOSE, piece[w1],
                                                         piece[w2]))
                         if r <= known:
-                            return True, r
+                            return r
                 elif t < size[tgt]:
                     size[tgt], req[tgt] = t, r
                     changed = True
@@ -399,12 +390,14 @@ def _capped_fixpoint(k: int, s: int, size: List[int], req: List[int],
                     changed = True
                     if piece:
                         piece[tgt] = _Piece(tgt, c, r, (OP_SPLIT, piece[w1]))
-    return (True, best) if best <= none else (False, least)
+    return best if best <= s else least
 
 
 def _start(k: int) -> Tuple[List[int], List[int]]:
-    """Sizes and requirements before any step: the axiom at width 0."""
-    return [1] + [1 << k] * k, [0] * (k + 1)
+    """Sizes and requirements before any step: the chain (w, 2^w, 2^w) at
+    every width w < k, the axiom (size 1, requirement 0) at width 0."""
+    size = [1 << w for w in range(k)]
+    return size, [0] + size[1:]
 
 
 def staircase_threshold(k: int) -> int:
@@ -440,14 +433,15 @@ def _threshold_search(k: int, literal: bool, probe: int) -> int:
     the new lo itself, which is very often T(k) exactly; after a feasible
     one, or for a first probe outside [lo, hi), it is the midpoint. A check
     starts from the fixpoint of the last infeasible one: that was taken
-    under a lower cap, so all of its pieces are still derivable.
+    under a lower cap, so each of its entries is still a derivable piece
+    or a chain.
 
     Each trick was taken out alone and timed against the rest
-    (f2_table(1, 160), 320 checks; CPU-second medians of 14 interleaved
-    runs, 2 vCPU, Python 3.11.7, a shared host; 0.98 s with both,
-    interquartile 0.96-1.03 s). Each check from the start in place of the
-    last infeasible fixpoint took 1.12 s, and no early stop at a finish
-    within lo (known = 0) 1.40 s, each slower in 14 of 14 pairs.
+    (f2_table(1, 160), then 320 checks, now 319; CPU-second medians of 14
+    interleaved runs, 2 vCPU, Python 3.11.7, a shared host; 0.98 s with
+    both, interquartile 0.96-1.03 s). Each check from the start in place
+    of the last infeasible fixpoint took 1.12 s, and no early stop at a
+    finish within lo (known = 0) 1.40 s, each slower in 14 of 14 pairs.
     """
     lo, hi = 1, 1 << k
     base = _start(k)
@@ -455,8 +449,8 @@ def _threshold_search(k: int, literal: bool, probe: int) -> int:
         if not lo <= probe < hi:
             probe = (lo + hi) // 2
         size, req = list(base[0]), list(base[1])
-        ok, bound = _capped_fixpoint(k, probe, size, req, lo, literal)
-        if ok:
+        bound = _capped_fixpoint(k, probe, size, req, lo, literal)
+        if bound <= probe:
             hi = bound
         else:
             lo = probe = bound
@@ -466,9 +460,11 @@ def _threshold_search(k: int, literal: bool, probe: int) -> int:
 
 def _search_witness(k: int, t: int, literal: bool) -> _Piece:
     """A finishing piece needing exactly t = T(k), from one check at cap t."""
-    piece: List[Optional[_Piece]] = [_Piece(0, 1, 0, (CHAIN,))] + [None] * k
-    ok, r = _capped_fixpoint(k, t, *_start(k), t, literal, piece)
-    assert ok and r == t
+    size, req = _start(k)
+    piece: List[Optional[_Piece]] = [
+        _Piece(w, m, r, (CHAIN,)) for w, (m, r) in enumerate(zip(size, req))]
+    piece.append(None)
+    assert _capped_fixpoint(k, t, size, req, t, literal, piece) == t
     return piece[k]
 
 
@@ -661,12 +657,6 @@ def oracle_f2(k: int, literal: bool = False) -> int:
 # tables
 
 
-@dataclass(frozen=True)
-class F2Row:
-    k: int
-    f2: int
-
-
 F2_CSV_HEADER = "k,f2,f2_norm,line_a,line_b,line_d"
 
 
@@ -676,29 +666,23 @@ def f2_norm_string(f2: int, k: int) -> str:
     return str(q)
 
 
-def f2_csv_row(row: F2Row) -> str:
-    return ",".join([
-        str(row.k),
-        str(row.f2),
-        f2_norm_string(row.f2, row.k),
-        *guide_columns(row.k),
-    ])
+def f2_csv_row(k: int, f2: int) -> str:
+    return ",".join([str(k), str(f2), f2_norm_string(f2, k),
+                     *guide_columns(k)])
 
 
-def _f2_row(k: int) -> F2Row:
-    return F2Row(k=k, f2=f2_value(k))
-
-
-def f2_table(k_from: int, k_to: int, jobs: int = 1) -> Iterator[F2Row]:
-    """Stream rows for k_from..k_to; jobs > 1 maps single k across processes."""
+def f2_table(k_from: int, k_to: int,
+             jobs: int = 1) -> Iterator[Tuple[int, int]]:
+    """Stream (k, f2) for k_from..k_to; jobs > 1 maps single k across
+    processes."""
     if k_from < 1 or k_to < k_from:
         raise ValueError("need 1 <= k_from <= k_to")
     ks = range(k_from, k_to + 1)
     workers = min(jobs, len(ks))
     if workers <= 1:
-        yield from map(_f2_row, ks)
+        yield from zip(ks, map(f2_value, ks))
         return
     import multiprocessing
 
     with multiprocessing.Pool(workers) as pool:
-        yield from pool.imap(_f2_row, ks)
+        yield from zip(ks, pool.imap(f2_value, ks))

@@ -29,6 +29,7 @@ from kcnf.dp import (
     DEFAULT_CLAUSE_CAP,
     _capped_fixpoint,
     _frontier_threshold,
+    _oracle_feasible,
     _search_witness,
     _start,
     _threshold_search,
@@ -106,7 +107,7 @@ FRONTIER_WITNESS_SHA256 = \
 @pytest.fixture(scope="module")
 def restricted_thresholds():
     """T(k) = f2(k) + 1 for restricted k = 1..160, index k - 1."""
-    return [row.f2 + 1 for row in f2_table(1, 160)]
+    return [f2 + 1 for _, f2 in f2_table(1, 160)]
 
 
 def _staircase_threshold(k):
@@ -132,7 +133,8 @@ def _staircase_threshold(k):
 
 def _certifies(k, s, low, literal):
     """Whether low[w] bounds from below the size of every piece of width w
-    derivable within cap s >= 1 (2^k: none) and no finish fits within s.
+    derivable within cap s >= 1 (an entry above s: none) and no finish fits
+    within s.
 
     The bound is an inductive invariant of the piece rules: every chain
     that fits, the axiom included, is at least its entry, and every step
@@ -257,23 +259,22 @@ class TestF2Value:
     def test_values_are_certified(self, restricted_thresholds):
         # below T the sizes of one check at T - 1 are a lower certificate
         # that the checker above confirms and at T rejects; at T the
-        # search's witness needs exactly T. The mutants raise the widest
-        # entry below its chain (none at small k) or mark the widest
-        # reachable width empty, and the checker must reject both
+        # search's witness needs exactly T. The check at T - 1 rejects a
+        # step of cost exactly T. The mutants raise the widest entry below
+        # its chain (none at small k) or mark the widest reachable width
+        # (an entry below T; the others hold their chain) empty, and the
+        # checker must reject both
         cases = [(k, t, False) for k, t in
                  enumerate(restricted_thresholds, start=1)]
         cases += [(k, f2_value(k, True) + 1, True) for k in range(1, 91)]
         for k, t, literal in cases:
             low, req = _start(k)
-            assert _capped_fixpoint(k, t - 1, low, req, 1, literal)[0] \
-                is False
-            low = low[:k]
+            assert _capped_fixpoint(k, t - 1, low, req, 1, literal) == t
             assert _certifies(k, t - 1, low, literal), (k, literal)
             assert not _certifies(k, t, low, literal), (k, literal)
             below = [w for w in range(k) if low[w] < 1 << w]
             edits = [(w, low[w] + 1) for w in below[-1:]]
-            edits.append((max(w for w in range(k) if low[w] < 1 << k),
-                          1 << k))
+            edits.append((max(w for w in range(k) if low[w] < t), 1 << k))
             for w, value in edits:
                 mutant = list(low)
                 mutant[w] = value
@@ -324,12 +325,38 @@ class TestF2Value:
                                          256: F2_256 + 1}.get(k, t)
         assert checks == [t - 1, t]
 
+    def test_search_at_k2_starts_below_the_threshold(self, monkeypatch):
+        # the form gives 2 against T(2) = 3; the check at cap 1 already
+        # rejects a step of cost 3, and the check at 3 finishes
+        checks = self._count_checks(monkeypatch)
+        assert f2_value(2) + 1 == 3
+        assert checks == [1, 3]
+
+    def test_check_at_every_cap(self):
+        # one number out: at most s exactly when a finish fits within s;
+        # an infeasible check's least rejected cost c has s < c <= T, a
+        # feasible check's requirement r has T <= r <= s
+        cases = [(k, literal, True) for k in range(1, 7)
+                 for literal in (False, True)]
+        cases += [(k, False, False) for k in range(7, 11)]
+        for k, literal, oracle in cases:
+            t = f2_value(k, literal) + 1
+            for s in range(1, t + 2):
+                bound = _capped_fixpoint(k, s, *_start(k), 1, literal)
+                if oracle:
+                    assert (bound <= s) == _oracle_feasible(k, s, literal), \
+                        (k, literal, s)
+                if bound > s:
+                    assert bound <= t, (k, literal, s)
+                else:
+                    assert t <= bound, (k, literal, s)
+
     def test_table_takes_two_checks_per_k(self, monkeypatch):
-        # 1 check at k = 1 (T = 2 = 2^1 closes the bracket), 3 at k = 2,
-        # where the form gives 2 against T = 3, and 2 from there on
+        # 1 check at k = 1 (T = 2 = 2^1 closes the bracket), 2 at k = 2
+        # and at every k from there on
         checks = self._count_checks(monkeypatch)
         list(f2_table(1, 160))
-        assert len(checks) == 320
+        assert len(checks) == 319
 
     def test_cli_rejects_nonpositive_k_before_the_closed_form(self, capsys):
         # the closed form's shifts are taken only after k is validated
@@ -633,14 +660,13 @@ class TestTable:
 
     def test_csv_row_format(self):
         assert F2_CSV_HEADER == "k,f2,f2_norm,line_a,line_b,line_d"
-        assert (f2_csv_row(next(f2_table(7, 7)))
+        assert (f2_csv_row(*next(f2_table(7, 7)))
                 == "7,44,2.40625,0.367879,15.5673,1.63368")
-        assert f2_csv_row(next(f2_table(1, 1))) == "1,1,0.5,0.367879,0,0.23"
+        assert f2_csv_row(*next(f2_table(1, 1))) == "1,1,0.5,0.367879,0,0.23"
 
     def test_table_streams_rows_in_order(self):
-        rows = list(f2_table(1, 8))
-        assert [r.k for r in rows] == list(range(1, 9))
-        assert [r.f2 for r in rows] == [1, 2, 4, 8, 14, 26, 44, 80]
+        assert list(f2_table(1, 8)) == list(zip(
+            range(1, 9), [1, 2, 4, 8, 14, 26, 44, 80]))
 
     def test_parallel_table_matches_serial(self):
         serial = list(f2_table(1, 10))
