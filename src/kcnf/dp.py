@@ -47,9 +47,11 @@ T(k) + 1, which keeps the expansion, and so the trace, what it is without
 a bound. In literal mode the frontier can miss T(k) (see
 _frontier_threshold); feasible then falls back to the search's derivation.
 
-Both fixpoints hand their witness back as the same thing, the finishing
-piece of width k, which links to the pieces it was derived from, and one
-emitter (_trace_from_piece) writes any such piece as a trace.
+Both fixpoints hold a derivation as its last step, a tuple in the trace
+ops: (OP_COMPOSE, left, right) or (OP_SPLIT, child) over operand steps,
+or (OP_AXIOM, w) for the chain of width w, the axiom and w splits. Each
+hands back the finishing step as its witness, and one emitter
+(_trace_from_piece) writes any such step as a trace.
 
 The fixed-cap closure itself survives as oracle_f2: an exhaustive BFS over
 (width, size, chain-flag) states for one s at a time, feasible only for
@@ -82,32 +84,12 @@ class MaterializeError(ValueError):
     """A trace whose expansion would be wrong or too large to build."""
 
 
-CHAIN = OP_AXIOM
-
-
-class _Piece:
-    """A derivation summary and its last step; identity-hashed so
-    provenance links stay cheap. A finishing piece has width k and size 0,
-    as annotate_trace gives a finished node. how is the last step in the
-    trace ops: (CHAIN,) for the chain of the piece's width, AXIOM and one
-    SPLIT per unit (the axiom is the chain of width 0), (OP_COMPOSE, a, b)
-    or, in literal mode, (OP_SPLIT, a) over operand pieces a and b."""
-
-    __slots__ = ("width", "size", "req", "how")
-
-    def __init__(self, width: int, size: int, req: int, how: Tuple):
-        self.width = width
-        self.size = size
-        self.req = req
-        self.how = how
-
-
-def _frontier_threshold(k: int, literal: bool, bound: int) -> Optional[_Piece]:
+def _frontier_threshold(k: int, literal: bool, bound: int) -> Optional[Tuple]:
     """Uniform-cost expansion of the piece space; returns the finishing
-    piece, of width k and req = T(k), whose how is the last step:
-    (OP_COMPOSE, a, b) or (CHAIN,) for the split chain. A literal split
-    never finishes: at width k - 1 the piece's self-compose costs the same
-    and is tried first, and best moves only on a strictly smaller cost.
+    step of a derivation that needs T(k): (OP_COMPOSE, a, b), or
+    (OP_AXIOM, k) for the split chain. A literal split never finishes: at
+    width k - 1 the piece's self-compose costs the same and is tried
+    first, and best moves only on a strictly smaller cost.
 
     A composite's requirement is at least either operand's, so expanding
     pieces in increasing requirement order is monotone: once every queued
@@ -143,8 +125,8 @@ def _frontier_threshold(k: int, literal: bool, bound: int) -> Optional[_Piece]:
     liveness test: a staircase displacement blanks the slot, and the stale
     heap int is skipped on pop or, after a settle, swept out wholesale when
     dead entries outnumber live ones. Provenance rides on the payload,
-    (width, size, req, how), so a settle builds its piece from the payload
-    alone; a staircase entry is (size, req, seq).
+    (width, size, req, step), so a settle takes the piece's step from the
+    payload as it is; a staircase entry is (size, req, seq).
 
     Candidates are also suppressed when a pending piece at the counterpart
     operand's width promises a strictly smaller requirement: that promise
@@ -177,7 +159,7 @@ def _frontier_threshold(k: int, literal: bool, bound: int) -> Optional[_Piece]:
     factor = [p - 1 for p in pow2]
     none = pow2[k]                      # no piece: every settled size is below
     best = none                         # the pure split chain
-    best_how: Optional[Tuple] = (CHAIN,)
+    best_step: Optional[Tuple] = (OP_AXIOM, k)
 
     def keyf(x: int) -> int:
         bl = x.bit_length()
@@ -186,17 +168,17 @@ def _frontier_threshold(k: int, literal: bool, bound: int) -> Optional[_Piece]:
     sh = max(0, bound.bit_length() - 53)
     edge = ((bound >> sh) + 1) << sh
     if edge < best:
-        best, best_how = edge, None
+        best, best_step = edge, None
     best_key = keyf(best - 1)
     heap: List[int] = []
-    # seq -> (width, size, req, how), None once displaced or settled
+    # seq -> (width, size, req, step), None once displaced or settled
     live: List[Optional[Tuple[int, int, int, Tuple]]] = []
     live_n = 0
     # per width, the smallest settled size so far; pieces settle in req
     # order, so an earlier settle never loses on requirement and the
     # running minimum is the only piece a later pairing needs
     min_size = [none] * k
-    min_piece: List[Optional[_Piece]] = [None] * k
+    min_piece: List[Optional[Tuple]] = [None] * k
     # settled (size, width) sorted by size, so the right-operand scan can
     # stop as soon as the step cost clears the bound
     by_size: List[Tuple[int, int]] = []
@@ -205,7 +187,7 @@ def _frontier_threshold(k: int, literal: bool, bound: int) -> Optional[_Piece]:
     # better than a pending or settled one never enters the heap
     stair: List[List[Tuple[int, int, int]]] = [[] for _ in range(k)]
 
-    def push(width: int, size: int, req: int, how: Tuple) -> None:
+    def push(width: int, size: int, req: int, step: Tuple) -> None:
         nonlocal live_n
         st = stair[width]
         i = bisect.bisect_left(st, (size,))
@@ -225,13 +207,13 @@ def _frontier_threshold(k: int, literal: bool, bound: int) -> Optional[_Piece]:
             # unreached: needs 2^28 pushes; k = 128 makes 123,129
             raise RuntimeError("push sequence exceeded packing capacity")
         st[i:j] = [(size, req, seq)]
-        live.append((width, size, req, how))
+        live.append((width, size, req, step))
         live_n += 1
         heapq.heappush(heap, (keyf(req) << 28) | seq)
 
-    push(0, 1, 0, (CHAIN,))
+    push(0, 1, 0, (OP_AXIOM, 0))
     for w in range(1, k):
-        push(w, pow2[w], pow2[w], (CHAIN,))
+        push(w, pow2[w], pow2[w], (OP_AXIOM, w))
 
     while heap:
         e = heapq.heappop(heap)
@@ -240,12 +222,11 @@ def _frontier_threshold(k: int, literal: bool, bound: int) -> Optional[_Piece]:
         rec = live[e & 0x0FFFFFFF]
         if rec is None:
             continue                    # superseded while queued
-        width, size, req, _ = rec
+        width, size, req, piece = rec
         if req >= best or size + 1 >= best:
             # the staircase entry stays: as an improvement promise it only
             # ever suppressed candidates that are now past best anyway
             continue
-        piece = _Piece(*rec)
         ms = min_size[width]
         if ms < none:
             by_size.pop(bisect.bisect_left(by_size, (ms, width)))
@@ -269,7 +250,7 @@ def _frontier_threshold(k: int, literal: bool, bound: int) -> Optional[_Piece]:
             if partner is None:
                 continue
             t = factor[d] * size
-            r = t + partner.size
+            r = t + min_size[k - d]
             if r < req:
                 r = req
             tgt = width + d
@@ -280,7 +261,7 @@ def _frontier_threshold(k: int, literal: bool, bound: int) -> Optional[_Piece]:
         # d = dfin pairs the piece with itself and finishes
         r = max(req, size << dfin)
         if r < best:
-            best, best_how = r, (OP_COMPOSE, piece, piece)
+            best, best_step = r, (OP_COMPOSE, piece, piece)
             best_key = keyf(best - 1)
         # as right operand: settled sources at narrower widths, cheapest
         # size first; d is fixed here. The settling piece is the partner
@@ -308,12 +289,12 @@ def _frontier_threshold(k: int, literal: bool, bound: int) -> Optional[_Piece]:
         if len(heap) > 2 * live_n + 4096:
             heap = [e for e in heap if live[e & 0x0FFFFFFF] is not None]
             heapq.heapify(heap)
-    return None if best_how is None else _Piece(k, 0, best, best_how)
+    return best_step
 
 
 def _capped_fixpoint(k: int, s: int, size: List[int], req: List[int],
                      known: int, literal: bool,
-                     piece: Optional[List[Optional[_Piece]]] = None) -> int:
+                     piece: Optional[List[Optional[Tuple]]] = None) -> int:
     """One fixed-cap check: the least fixpoint of the smallest size per width.
 
     size[w] is the smallest piece at width w found so far and req[w] the
@@ -323,17 +304,18 @@ def _capped_fixpoint(k: int, s: int, size: List[int], req: List[int],
     that touches it costs more than its size, so it is refused like any
     step over the cap. Keeping only the smallest size per width loses
     nothing, because a step's output size and its cost both grow with each
-    operand's size. Given a piece list (the chains, then a slot for the
-    finish), the derivations are kept there as well, and piece[k] gets the
-    finishing piece (width k, size 0), a compose: a literal split from
-    width k - 1 costs what the piece's d = 1 self-compose does, which the
-    check takes first, so the split is a step only below k - 1.
+    operand's size. Given a step list (the chain (OP_AXIOM, w) at each
+    width w, then a slot for the finish), each width's derivation is kept
+    there as well, as its last step, and piece[k] gets the finishing step,
+    a compose: a literal split from width k - 1 costs what the piece's
+    d = 1 self-compose does, which the check takes first, so the split is
+    a step only below k - 1.
 
-    The list stays optional because only the witness needs it. Tracking
-    the pieces on every check of f2_table(1, 160) took 1.36-2.18 CPU
-    seconds, and keeping the pieces as the only table (size and req read
-    from them) 1.34-1.87 s, against 0.93-1.22 s without (6 interleaved
-    runs each, 2 vCPU, Python 3.11.7, a shared host).
+    The list stays optional because only the witness needs it. Recording
+    the steps on every check of f2_table(1, 160) and the literal f2 values
+    for k = 1..90 took 2.78 CPU seconds against 2.49 s without (medians of
+    20 interleaved runs, slower in 14 of 20 pairs, median ratio 1.11; 2
+    vCPU, Python 3.11.7, a shared host).
 
     Returns r <= s when a finish fits within s, the least requirement among
     the finishing derivations found; T(k) <= r. The check stops early at a
@@ -367,16 +349,14 @@ def _capped_fixpoint(k: int, s: int, size: List[int], req: List[int],
                     if r < best:
                         best = r
                         if piece:
-                            piece[k] = _Piece(k, 0, r, (OP_COMPOSE, piece[w1],
-                                                        piece[w2]))
+                            piece[k] = (OP_COMPOSE, piece[w1], piece[w2])
                         if r <= known:
                             return r
                 elif t < size[tgt]:
                     size[tgt], req[tgt] = t, r
                     changed = True
                     if piece:
-                        piece[tgt] = _Piece(tgt, t, r, (OP_COMPOSE, piece[w1],
-                                                        piece[w2]))
+                        piece[tgt] = (OP_COMPOSE, piece[w1], piece[w2])
             # at width k - 1 the d = 1 self-compose above finishes at this cost
             if literal and w1 < k - 1:
                 c = 2 * m1
@@ -385,11 +365,10 @@ def _capped_fixpoint(k: int, s: int, size: List[int], req: List[int],
                     if c < least and c < size[tgt]:
                         least = c
                 elif c < size[tgt]:
-                    r = max(r1, c)
-                    size[tgt], req[tgt] = c, r
+                    size[tgt], req[tgt] = c, max(r1, c)
                     changed = True
                     if piece:
-                        piece[tgt] = _Piece(tgt, c, r, (OP_SPLIT, piece[w1]))
+                        piece[tgt] = (OP_SPLIT, piece[w1])
     return best if best <= s else least
 
 
@@ -458,12 +437,11 @@ def _threshold_search(k: int, literal: bool, probe: int) -> int:
     return lo
 
 
-def _search_witness(k: int, t: int, literal: bool) -> _Piece:
-    """A finishing piece needing exactly t = T(k), from one check at cap t."""
+def _search_witness(k: int, t: int, literal: bool) -> Tuple:
+    """The finishing step of a derivation needing exactly t = T(k), from one
+    check at cap t."""
     size, req = _start(k)
-    piece: List[Optional[_Piece]] = [
-        _Piece(w, m, r, (CHAIN,)) for w, (m, r) in enumerate(zip(size, req))]
-    piece.append(None)
+    piece: List[Optional[Tuple]] = [(OP_AXIOM, w) for w in range(k)] + [None]
     assert _capped_fixpoint(k, t, size, req, t, literal, piece) == t
     return piece[k]
 
@@ -493,17 +471,17 @@ def feasible(k: int, s: int, literal: bool = False) -> Optional[DerivTrace]:
     plain split chain. The search's first probe is one below the lower of
     s and the closed form: for feasible(k, f2(k) + 1, literal=True) s is
     the better one, since the closed form is the restricted T(k) and the
-    literal one is at most that. The witness is then the finishing piece of the
-    frontier bounded by T(k) (see _frontier_threshold) if its trace
-    annotates to T(k), else the finishing piece of one search check at
-    cap T(k).
+    literal one is at most that. The witness is then the finishing step of
+    the frontier bounded by T(k) (see _frontier_threshold) if its trace
+    annotates to T(k), else the finishing step of one search check at cap
+    T(k).
     """
     if k < 1:
         raise ValueError("k must be positive")
     if s < 1:
         raise ValueError("s must be positive")
     if s >= 2 ** k:
-        return _trace_from_piece(_Piece(k, 0, 1 << k, (CHAIN,)))
+        return _trace_from_piece((OP_AXIOM, k))
     t = _threshold_search(k, literal, min(s, staircase_threshold(k)) - 1)
     if s < t:
         return None
@@ -515,33 +493,34 @@ def feasible(k: int, s: int, literal: bool = False) -> Optional[DerivTrace]:
     return _trace_from_piece(_search_witness(k, t, literal))
 
 
-def _trace_from_piece(root: _Piece) -> DerivTrace:
-    """The trace of root's derivation, each piece once, operands first.
+def _trace_from_piece(root: Tuple) -> DerivTrace:
+    """The trace of root's derivation, each step once, operands first.
 
-    The post-order is iterative: piece DAGs can be deeper than the default
-    recursion limit at large k. A chain piece of width w expands to AXIOM
-    and w SPLITs; every other piece is one node, its how's op over the ids
-    of its operand pieces.
+    The post-order is iterative: step DAGs can be deeper than the default
+    recursion limit at large k. A chain (OP_AXIOM, w) expands to AXIOM and
+    w SPLITs; every other step is one node, its op over the ids of its
+    operand steps. Steps are told apart by identity: equal steps built
+    apart are distinct nodes, and hashing a DAG by value is exponential.
     """
     nodes: List[TraceNode] = []
-    ids: Dict[_Piece, int] = {}
-    stack: List[Tuple[_Piece, bool]] = [(root, False)]
+    ids: Dict[int, int] = {}
+    stack: List[Tuple[Tuple, bool]] = [(root, False)]
     while stack:
-        piece, ready = stack.pop()
-        if piece in ids:
+        step, ready = stack.pop()
+        if id(step) in ids:
             continue
-        op, *deps = piece.how
-        if not ready:
-            stack.append((piece, True))
+        op, *deps = step
+        if op == OP_AXIOM:
+            nodes.append(TraceNode(OP_AXIOM, ()))
+            for _ in range(deps[0]):
+                nodes.append(TraceNode(OP_SPLIT, (len(nodes) - 1,)))
+        elif not ready:
+            stack.append((step, True))
             stack.extend((p, False) for p in reversed(deps))
             continue
-        if op == CHAIN:
-            nodes.append(TraceNode(OP_AXIOM, ()))
-            for _ in range(piece.width):
-                nodes.append(TraceNode(OP_SPLIT, (len(nodes) - 1,)))
         else:
-            nodes.append(TraceNode(op, tuple(ids[p] for p in deps)))
-        ids[piece] = len(nodes) - 1
+            nodes.append(TraceNode(op, tuple(ids[id(p)] for p in deps)))
+        ids[id(step)] = len(nodes) - 1
     return DerivTrace(tuple(nodes), len(nodes) - 1)
 
 

@@ -25,7 +25,6 @@ import kcnf.formula
 from kcnf.cli import run
 from kcnf.constructions import lemma1_build, lemma2_build
 from kcnf.dp import (
-    CHAIN,
     DEFAULT_CLAUSE_CAP,
     _capped_fixpoint,
     _frontier_threshold,
@@ -200,23 +199,29 @@ class TestF2Value:
         # shares no code with it and stays behind feasible's traces
         for literal in (False, True):
             for k in range(1, 49):
+                trace = _trace_from_piece(_frontier_threshold(k, literal,
+                                                              1 << k))
                 assert (f2_value(k, literal)
-                        == _frontier_threshold(k, literal, 1 << k).req - 1), \
+                        == annotate_trace(trace, k, literal).required_s - 1), \
                     (k, literal)
 
     def test_both_fixpoints_return_the_finishing_piece(self):
         # the frontier under feasible's bound and one search check at cap
-        # T(k) each hand back a piece of width k that needs exactly T(k).
-        # At k = 1 the frontier's piece is the split chain
+        # T(k) each hand back a step whose trace finishes at width k and
+        # needs exactly T(k). At k = 1 the frontier's step is the split chain
         for literal in (False, True):
             for k in range(1, 49):
                 t = f2_value(k, literal) + 1
-                roots = [_frontier_threshold(k, literal, bound=t),
-                         _search_witness(k, t, literal)]
+                traces = [_trace_from_piece(_frontier_threshold(
+                              k, literal, bound=t)),
+                          _trace_from_piece(_search_witness(k, t, literal))]
                 if k == 1:
-                    assert roots[0].how == (CHAIN,)
-                for root in roots:
-                    assert root.width == k and root.req == t, (k, literal)
+                    assert serialize_trace(traces[0]) == \
+                        "0 AXIOM\n1 SPLIT 0\nFINAL 1\n"
+                for trace in traces:
+                    ann = annotate_trace(trace, k, literal)
+                    assert ann.nodes[trace.final].width == k \
+                        and ann.required_s == t, (k, literal)
 
     def test_search_witness_bytes_pinned(self):
         # the search witness is feasible's fallback; the check's piece
@@ -287,9 +292,7 @@ class TestF2Value:
     def test_search_finishes_at_two_to_the_k(self, literal):
         # T(1) = 2 = 2^1: a check at cap 2 must still report that finish,
         # as the compose of the axiom with itself
-        root = _search_witness(1, 2, literal)
-        assert root.width == 1 and root.req == 2
-        trace = _trace_from_piece(root)
+        trace = _trace_from_piece(_search_witness(1, 2, literal))
         assert serialize_trace(trace) == "0 AXIOM\n1 COMPOSE 0 0\nFINAL 1\n"
         assert annotate_trace(trace, 1, literal).required_s == 2
 
@@ -462,7 +465,8 @@ class TestFeasible:
 
         monkeypatch.setattr(kcnf.dp, "heapq", types.SimpleNamespace(
             heappush=heappush, heappop=heapq.heappop, heapify=heapq.heapify))
-        assert _frontier_threshold(k, literal, bound=t).req == t
+        trace = _trace_from_piece(_frontier_threshold(k, literal, bound=t))
+        assert annotate_trace(trace, k, literal).required_s == t
         assert len(items) == pushes
         text = "\n".join(map(str, items))
         assert hashlib.sha256(text.encode()).hexdigest() == \

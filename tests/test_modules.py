@@ -113,15 +113,17 @@ def test_each_decision_has_one_encoding():
 
 
 def test_dp_steps_use_the_trace_ops():
-    # a piece's last step is spelled with calculus's trace ops, so a tuple
-    # that starts with a string (other than __slots__) is a second spelling
+    # a derivation step is spelled with calculus's trace ops, so a
+    # module-level name bound to one of the ops is a second spelling, and
+    # so is a tuple that starts with a string
     tree = ast.parse((SRC / "dp.py").read_text(encoding="utf-8"))
-    slots = {id(node.value) for node in ast.walk(tree)
-             if isinstance(node, ast.Assign)
-             and [t.id for t in node.targets if isinstance(t, ast.Name)]
-             == ["__slots__"]}
+    aliases = [f"line {node.lineno}" for node in tree.body
+               if isinstance(node, (ast.Assign, ast.AnnAssign))
+               and isinstance(node.value, ast.Name)
+               and node.value.id.startswith("OP_")]
+    assert not aliases, f"dp.py binds a name to a trace op: {aliases}"
     tagged = [f"line {node.lineno}" for node in ast.walk(tree)
-              if isinstance(node, ast.Tuple) and id(node) not in slots
+              if isinstance(node, ast.Tuple)
               and node.elts and isinstance(node.elts[0], ast.Constant)
               and isinstance(node.elts[0].value, str)]
     assert not tagged, f"dp.py tuples tagged with a string: {tagged}"
