@@ -155,9 +155,13 @@ def _cmd_f2(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_f2_table(args: argparse.Namespace) -> int:
+def _check_k_range(args: argparse.Namespace) -> None:
     if not 1 <= args.k_from <= args.k_to:
         raise ValueError("need 1 <= k-from <= k-to")
+
+
+def _cmd_f2_table(args: argparse.Namespace) -> int:
+    _check_k_range(args)
     if args.jobs < 1:
         raise ValueError("jobs must be positive")
     rows = f2_table(args.k_from, args.k_to, jobs=args.jobs)
@@ -167,8 +171,7 @@ def _cmd_f2_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    if not 1 <= args.k_from <= args.k_to:
-        raise ValueError("need 1 <= k-from <= k-to")
+    _check_k_range(args)
     _write_table(args.out, BOUNDS_CSV_HEADER,
                  (bounds_csv_row(bounds_row(k))
                   for k in range(args.k_from, args.k_to + 1)))
@@ -243,20 +246,17 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="relax the split rule to any subformula (comparison only)")
     p.set_defaults(func=_cmd_f2)
 
-    p = sub.add_parser("f2-table", help="write the f2 CSV for a range of k")
-    p.add_argument("--k-from", type=int, required=True)
-    p.add_argument("--k-to", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=_cmd_f2_table)
-
-    p = sub.add_parser(
+    table = sub.add_parser("f2-table", help="write the f2 CSV for a range of k")
+    bounds = sub.add_parser(
         "bounds",
         help="write the constructions-vs-lower-bound CSV for a range of k")
-    p.add_argument("--k-from", type=int, required=True)
-    p.add_argument("--k-to", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_bounds)
+    for p in (table, bounds):
+        p.add_argument("--k-from", type=int, required=True)
+        p.add_argument("--k-to", type=int, required=True)
+        p.add_argument("--out", required=True)
+    table.add_argument("--jobs", type=int, default=1)
+    table.set_defaults(func=_cmd_f2_table)
+    bounds.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser(
         "materialize",

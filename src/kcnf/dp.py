@@ -135,29 +135,26 @@ def _frontier_threshold(k: int, literal: bool, bound: int) -> Optional[Tuple]:
 
     Each trick was taken out alone and timed against the rest (k = 128,
     bound T(k), CPU-second medians of 14 interleaved runs, 2 vCPU, Python
-    3.11.7; 0.73 s with all of them). The earlier form of this loop, with
-    parallel size, requirement, step and seq lists per width, three tests
-    per right-operand entry and the finish inside the d loop, took 0.85 s.
-    Size, requirement and seq lists in place of the tuple staircase, all
-    else as here, ran as fast (median time ratio 0.99 over 14 more pairs),
-    so the one list stays. Without the promise the witnesses change, the
-    pushes go from 123,129 to 218,154, and the run takes 1.04 s. (key,
-    seq) tuples in place of the packed ints took 0.78 s, no dead-entry
-    sweep 0.85 s, and max() in place of the inline `if r < req` in the
-    operand loops 0.87 s. A first test of push against the staircase's
-    last entry, which the bisect tests cover, won 10 of 14 pairs at k =
-    62, 79, 95 together and 6 of 14 at k = 128, so it is gone. by_size,
-    the settled pieces by size, orders the right-operand pushes, which
-    decides inside a key tie, and stops that scan at the first step whose
-    requirement would pass best - 1 or what the settling piece's own
+    3.11.7; 0.73 s with all of them). Size, requirement and seq lists in
+    place of the tuple staircase, all else as here, ran as fast (median
+    time ratio 0.99 over 14 more pairs), so the one list stays. Without the
+    promise the witnesses change, the pushes go from 123,129 to 218,154,
+    and the run takes 1.04 s. (key, seq) tuples in place of the packed ints
+    took 0.78 s, no dead-entry sweep 0.85 s, and max() in place of the
+    inline `if r < req` in the operand loops 0.87 s. At restricted K = 62,
+    79 and 95 together (16 interleaved in-process runs, 0.334 s with all),
+    no sweep took 0.366 s and no `partner is None` skip in the left-operand
+    loop 0.374 s, slower in 12 and 15 of 16, both with every push kept.
+    by_size, the settled pieces by size, orders the right-operand pushes,
+    which decides inside a key tie, and stops that scan at the first step
+    whose requirement would pass best - 1 or what the settling piece's own
     staircase still promises. A width-order scan took 0.75 s and gave the
     same traces (restricted k <= 160, literal k <= 90), but the two orders
     differ at some settle in 70 of 270 runs checked, so the traces are not
     known to agree for every k.
     """
-    pow2 = [1 << i for i in range(k + 1)]
-    factor = [p - 1 for p in pow2]
-    none = pow2[k]                      # no piece: every settled size is below
+    factor = [(1 << d) - 1 for d in range(k + 1)]
+    none = 1 << k                       # no piece: every settled size is below
     best = none                         # the pure split chain
     best_step: Optional[Tuple] = (OP_AXIOM, k)
 
@@ -211,9 +208,8 @@ def _frontier_threshold(k: int, literal: bool, bound: int) -> Optional[Tuple]:
         live_n += 1
         heapq.heappush(heap, (keyf(req) << 28) | seq)
 
-    push(0, 1, 0, (OP_AXIOM, 0))
-    for w in range(1, k):
-        push(w, pow2[w], pow2[w], (OP_AXIOM, w))
+    for w, (size, req) in enumerate(zip(*_start(k))):
+        push(w, size, req, (OP_AXIOM, w))
 
     while heap:
         e = heapq.heappop(heap)
@@ -374,7 +370,8 @@ def _capped_fixpoint(k: int, s: int, size: List[int], req: List[int],
 
 def _start(k: int) -> Tuple[List[int], List[int]]:
     """Sizes and requirements before any step: the chain (w, 2^w, 2^w) at
-    every width w < k, the axiom (size 1, requirement 0) at width 0."""
+    every width w < k, the axiom (size 1, requirement 0) at width 0. Both
+    fixpoints start from them."""
     size = [1 << w for w in range(k)]
     return size, [0] + size[1:]
 

@@ -109,21 +109,23 @@ def restricted_thresholds():
     return [f2 + 1 for _, f2 in f2_table(1, 160)]
 
 
+def _stair(d, w):
+    """L_d(w) = (2^d - 1)^floor(w/d) 2^(w mod d), the cheapest size at width
+    w built from d-blocks."""
+    return ((1 << d) - 1) ** (w // d) << (w % d)
+
+
 def _staircase_threshold(k):
     """(T, d) from the uniform-guard staircase closed form.
 
-    L_d(w) = (2^d - 1)^floor(w/d) 2^(w mod d) is the cheapest size at width
-    w built from d-blocks; c_d(k) is the cheapest step with guard width e
-    that would reach width k - d + 1, the min over e = d..k - d + 1 of
-    (2^e - 1) L_d(k - d + 1 - e) + L_d(k - e); T is the max of c_d(k) over
-    every d whose e range is not empty, and d the one that attains it.
+    c_d(k) is the cheapest step with guard width e that would reach width
+    k - d + 1, the min over e = d..k - d + 1 of (2^e - 1) L_d(k - d + 1 - e)
+    + L_d(k - e) (see _stair); T is the max of c_d(k) over every d whose e
+    range is not empty, and d the one that attains it.
     """
-    def stair(d, w):
-        return ((1 << d) - 1) ** (w // d) << (w % d)
-
     best = (0, 0)
     for d in range(1, (k + 1) // 2 + 1):
-        c = min(((1 << e) - 1) * stair(d, k - d + 1 - e) + stair(d, k - e)
+        c = min(((1 << e) - 1) * _stair(d, k - d + 1 - e) + _stair(d, k - e)
                 for e in range(d, k - d + 2))
         if c > best[0]:
             best = (c, d)
@@ -288,6 +290,22 @@ class TestF2Value:
             trace = _trace_from_piece(_search_witness(k, t, literal))
             assert annotate_trace(trace, k, literal).required_s == t
 
+    def test_closed_form_staircase_certifies(self):
+        # the lower certificate in closed form, L_{d*}: the d*-block
+        # staircase up to width k - d*, the chain 2^w above it. The checker
+        # confirms it at T - 1 and rejects it at T, the closed form's T,
+        # which test_staircase_closed_form ties to the search. Without the
+        # chain on top it fails at every k: at k = 10 (d* = 3) the axiom
+        # under a d = 2 guard is a width-2 piece of size 3 < L(2) = 4, at
+        # cost 3 + L(8) = 199 <= 244
+        for k in range(3, 161):
+            t, d = _staircase_threshold(k)
+            bare = [_stair(d, w) for w in range(k)]
+            low = bare[:k - d + 1] + [1 << w for w in range(k - d + 1, k)]
+            assert _certifies(k, t - 1, low, False), k
+            assert not _certifies(k, t, low, False), k
+            assert not _certifies(k, t - 1, bare, False), k
+
     @pytest.mark.parametrize("literal", [False, True])
     def test_search_finishes_at_two_to_the_k(self, literal):
         # T(1) = 2 = 2^1: a check at cap 2 must still report that finish,
@@ -383,6 +401,17 @@ class TestFeasible:
             f2 = oracle_f2(k)
             for s in range(1, 2 ** k + 2):
                 assert (feasible(k, s) is not None) == (s > f2), (k, s)
+
+    def test_witness_does_not_depend_on_the_cap(self):
+        # every cap from T(k) below 2^k gets the threshold witness
+        for literal in (False, True):
+            for k in range(2, 13):
+                t = f2_value(k, literal) + 1
+                expect = serialize_trace(feasible(k, t, literal))
+                for s in (t + 1, 2 * t - 1, 2 ** k - 1):
+                    if s < 2 ** k:
+                        assert serialize_trace(feasible(k, s, literal)) \
+                            == expect, (k, literal, s)
 
     def test_generous_cap_returns_split_chain(self):
         tr = feasible(3, 8)
